@@ -33,14 +33,16 @@
 //!   of `rfactor`/non-`rfactor` design spaces in the early trials (keyed on
 //!   each trace's rfactor decision), and an adaptive ε-greedy schedule.
 //! * [`session`] — the resumable [`session::TuningSession`]: the same loop
-//!   split into `next_batch`/`record_batch` steps, driven under a
+//!   split into `next_batch`/`record_outcomes` steps, driven under a
 //!   [`session::Budget`] (trials, wall-clock, early-stop) with streaming
 //!   [`session::TuningObserver`] callbacks.
-//! * [`tuner`] — the blocking convenience drivers ([`tune`]/[`tune_batch`])
-//!   on top of the session, generic over a [`tuner::Measurer`] /
-//!   [`tuner::BatchMeasurer`] so the caller decides how candidates are timed
-//!   (the `atim-core` crate measures them on the simulated UPMEM machine,
-//!   batching each round across worker threads).
+//! * [`tuner`] — the measurement contract and the blocking driver [`tune`]
+//!   on top of the session: a [`tuner::Measurer`] turns one round's batch of
+//!   traces into slot-aligned [`tuner::MeasureOutcome`]s, so the caller
+//!   decides how candidates are timed (a `FnMut(&Trace) -> Option<f64>`
+//!   closure is one; the `atim-core` crate's adapter measures each batch on
+//!   the simulated UPMEM machine across worker threads or processes), and
+//!   [`tuner::MemoMeasurer`] is the one memo/dedup/warm-start layer over it.
 //! * [`json`] / [`log`] — dependency-free JSON persistence:
 //!   [`log::TuneLog`] saves a search, reloads it in a fresh process, replays
 //!   it straight to a result, or warm-starts a new search from its records.
@@ -59,7 +61,7 @@
 //! ```
 //! use atim_autotune::log::TuneLog;
 //! use atim_autotune::session::{Budget, NullObserver, TuningSession};
-//! use atim_autotune::{SequentialMeasurer, Trace, TuningOptions};
+//! use atim_autotune::{MemoMeasurer, Trace, TuningOptions};
 //! use atim_sim::UpmemConfig;
 //! use atim_tir::compute::ComputeDef;
 //!
@@ -76,17 +78,21 @@
 //! // trace instead).
 //! let mut measurer = |t: &Trace| Some(1.0 / t.num_dpus() as f64);
 //! let mut session = TuningSession::new(&def, &hw, &options).unwrap();
-//! let result = session.run(
-//!     &mut SequentialMeasurer::new(&mut measurer),
-//!     &Budget::unlimited(),
-//!     &mut NullObserver,
-//! );
+//! let result = session.run(&mut measurer, &Budget::unlimited(), &mut NullObserver);
 //! assert!(result.best.is_some());
 //!
 //! // The search is durable: encode, decode, and the result survives.
 //! let log = TuneLog::new(&def.name, options.seed, result);
 //! let reloaded = TuneLog::from_json_str(&log.to_json_string()).unwrap();
 //! assert_eq!(reloaded.to_result().best, log.to_result().best);
+//!
+//! // Warm start: the same search over a memo seeded from the log re-drives
+//! // the identical trajectory without measuring anything again.
+//! let mut warm = MemoMeasurer::seeded(&mut measurer, reloaded.memo());
+//! let mut session = TuningSession::new(&def, &hw, &options).unwrap();
+//! let resumed = session.run(&mut warm, &Budget::unlimited(), &mut NullObserver);
+//! assert_eq!(resumed.best, log.to_result().best);
+//! assert_eq!(warm.fresh(), 0);
 //! ```
 
 pub mod cache;
@@ -113,7 +119,7 @@ pub use cost_model::{
 pub use generator::{SpaceGenerator, UpmemSketchGenerator};
 pub use job::{MeasureJob, MeasureReport, EXEC_TIMING};
 pub use json::{Json, JsonCodec, JsonError};
-pub use log::{StreamingTuneLog, TuneLog, TuneLogError, TuneLogWriter, WarmStartMeasurer};
+pub use log::{StreamingTuneLog, TuneLog, TuneLogError, TuneLogWriter};
 pub use session::{
     validate_options, Budget, NullObserver, StopReason, TuningError, TuningObserver, TuningSession,
 };
@@ -126,9 +132,7 @@ pub use space::ScheduleConfig;
 pub use space::SearchSpace;
 pub use trace::{Decision, Instruction, Trace};
 pub use tuner::{
-    tune, tune_batch, BatchMeasurer, CancelToken, Cancellation, MeasureOutcome, Measurer,
-    SequentialMeasurer, TuningOptions, TuningRecord, TuningResult,
+    tune, CancelToken, Cancellation, MeasureOutcome, Measurer, MemoMeasurer, TuningOptions,
+    TuningRecord, TuningResult,
 };
-#[allow(deprecated)]
-pub use verifier::verify;
 pub use verifier::{verify_trace, VerifyError};

@@ -9,12 +9,12 @@
 //! per-trial history).
 //!
 //! Warm-starting reuses the determinism of the whole stack: a
-//! [`WarmStartMeasurer`] answers measurements recorded in the log without
-//! touching the backend, so re-running a session with the *same options and
-//! seed* re-drives the identical search trajectory while only paying for
-//! measurements the log does not already contain.  An interrupted 1000-trial
-//! search resumed this way converges to the same best configuration as an
-//! uninterrupted one.
+//! [`MemoMeasurer`](crate::tuner::MemoMeasurer) seeded with [`TuneLog::memo`]
+//! answers measurements recorded in the log without touching the backend, so
+//! re-running a session with the *same options and seed* re-drives the
+//! identical search trajectory while only paying for measurements the log
+//! does not already contain.  An interrupted 1000-trial search resumed this
+//! way converges to the same best configuration as an uninterrupted one.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -24,7 +24,7 @@ use std::path::Path;
 use crate::json::{Json, JsonCodec, JsonError};
 use crate::session::TuningObserver;
 use crate::trace::Trace;
-use crate::tuner::{BatchMeasurer, TuningRecord, TuningResult};
+use crate::tuner::{TuningRecord, TuningResult};
 
 /// The current log format version (bumped on breaking schema changes).
 ///
@@ -55,7 +55,8 @@ const STREAM_FORMAT: &str = "trial-stream";
 ///   a crashed session loses at most the trial that was being written.  A
 ///   truncated trailing line is tolerated on load; a missing summary line
 ///   marks the log [`TuneLog::complete`]` == false` (resume it with
-///   [`crate::session::TuningSession`] + [`WarmStartMeasurer`]).
+///   [`crate::session::TuningSession`] + a seeded
+///   [`MemoMeasurer`](crate::tuner::MemoMeasurer)).
 #[derive(Debug, Clone)]
 pub struct TuneLog {
     /// Format version (see [`TUNE_LOG_VERSION`]).
@@ -142,9 +143,9 @@ impl TuneLog {
         self.result.history.is_empty()
     }
 
-    /// The `trace → latency` memo of every recorded measurement (used by
-    /// [`WarmStartMeasurer`] and anything else that wants to skip
-    /// re-measuring known candidates).  Keys use trace identity (sketch +
+    /// The `trace → latency` memo of every recorded measurement — the seed
+    /// of [`MemoMeasurer::seeded`](crate::tuner::MemoMeasurer::seeded), for
+    /// anything that wants to skip re-measuring known candidates.  Keys use trace identity (sketch +
     /// decisions), so decisions-only entries loaded from a log answer for
     /// the materialized traces a live search proposes.
     pub fn memo(&self) -> HashMap<Trace, f64> {
@@ -421,102 +422,12 @@ impl TuningObserver for StreamingTuneLog {
     }
 }
 
-/// A [`BatchMeasurer`] that answers measurements recorded in a [`TuneLog`]
-/// from memory and forwards only unknown candidates to the real measurer.
-///
-/// Driving a fresh [`crate::session::TuningSession`] (same options, same
-/// seed) through this wrapper re-creates the original search trajectory
-/// bit-for-bit: the candidates the session proposes are identical, and every
-/// one the log already measured is answered without touching the backend.
-/// The session therefore "resumes" an interrupted search at the cost of only
-/// the remaining measurements.
-pub struct WarmStartMeasurer<'a> {
-    memo: HashMap<Trace, f64>,
-    inner: &'a mut dyn BatchMeasurer,
-    replayed: usize,
-    fresh: usize,
-}
-
-impl<'a> WarmStartMeasurer<'a> {
-    /// Wraps `inner`, answering any measurement recorded in `log` from
-    /// memory.
-    pub fn new(log: &TuneLog, inner: &'a mut dyn BatchMeasurer) -> Self {
-        WarmStartMeasurer {
-            memo: log.memo(),
-            inner,
-            replayed: 0,
-            fresh: 0,
-        }
-    }
-
-    /// Number of measurements answered from the log.
-    pub fn replayed(&self) -> usize {
-        self.replayed
-    }
-
-    /// Number of measurements forwarded to the real measurer.
-    pub fn fresh(&self) -> usize {
-        self.fresh
-    }
-}
-
-impl BatchMeasurer for WarmStartMeasurer<'_> {
-    fn measure_batch_cancellable(
-        &mut self,
-        traces: &[Trace],
-        cancel: &crate::tuner::Cancellation,
-    ) -> Vec<crate::tuner::MeasureOutcome> {
-        use crate::tuner::MeasureOutcome;
-        // Log-recorded measurements are free — answer them even when
-        // cancelled; only fresh candidates respect the cancellation.
-        let mut out: Vec<Option<MeasureOutcome>> = traces
-            .iter()
-            .map(|c| self.memo.get(c).map(|&l| MeasureOutcome::Measured(l)))
-            .collect();
-        let miss_slots: Vec<usize> = (0..traces.len()).filter(|&i| out[i].is_none()).collect();
-        self.replayed += traces.len() - miss_slots.len();
-        if !miss_slots.is_empty() {
-            let misses: Vec<Trace> = miss_slots.iter().map(|&i| traces[i].clone()).collect();
-            let results = self.inner.measure_batch_cancellable(&misses, cancel);
-            assert_eq!(
-                results.len(),
-                misses.len(),
-                "BatchMeasurer must return one result per candidate"
-            );
-            self.fresh += results
-                .iter()
-                .filter(|o| !matches!(o, MeasureOutcome::Skipped))
-                .count();
-            for (&slot, result) in miss_slots.iter().zip(results) {
-                out[slot] = Some(result);
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every slot answered"))
-            .collect()
-    }
-
-    fn measure_batch(&mut self, traces: &[Trace]) -> Vec<Option<f64>> {
-        use crate::tuner::{Cancellation, MeasureOutcome};
-        // One implementation: the cancellable path with a condition that
-        // never triggers (so `Skipped` is impossible).
-        self.measure_batch_cancellable(traces, &Cancellation::none())
-            .into_iter()
-            .map(|outcome| match outcome {
-                MeasureOutcome::Measured(latency) => Some(latency),
-                MeasureOutcome::Failed => None,
-                MeasureOutcome::Skipped => unreachable!("nothing can cancel Cancellation::none()"),
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::{Budget, NullObserver, TuningSession};
     use crate::space::ScheduleConfig;
-    use crate::tuner::{SequentialMeasurer, TuningOptions, TuningRecord};
+    use crate::tuner::{MemoMeasurer, TuningOptions, TuningRecord};
     use atim_sim::UpmemConfig;
     use atim_tir::compute::ComputeDef;
 
@@ -683,8 +594,7 @@ mod tests {
 
         let mut session = TuningSession::new(&def, &hw, &options).unwrap();
         let mut m2 = analytic(&def);
-        let mut seq = SequentialMeasurer::new(&mut m2);
-        let mut warm = WarmStartMeasurer::new(&log, &mut seq);
+        let mut warm = MemoMeasurer::seeded(&mut m2, log.memo());
         let resumed = session.run(&mut warm, &Budget::unlimited(), &mut NullObserver);
         assert_eq!(resumed.best, fresh.best);
         assert_eq!(resumed.history, fresh.history);
@@ -731,8 +641,7 @@ mod tests {
 
         let mut session = TuningSession::new(&def, &hw, &options).unwrap();
         let mut m2 = analytic(&def);
-        let mut seq = SequentialMeasurer::new(&mut m2);
-        let mut warm = WarmStartMeasurer::new(&log, &mut seq);
+        let mut warm = MemoMeasurer::seeded(&mut m2, log.memo());
         let resumed = session.run(&mut warm, &Budget::unlimited(), &mut NullObserver);
         assert_eq!(resumed.best, fresh.best);
         assert_eq!(resumed.history, fresh.history);
@@ -764,18 +673,13 @@ mod tests {
         // Interrupted search: stop after ~half the budget and persist.
         let mut partial_session = TuningSession::new(&def, &hw, &options).unwrap();
         let mut m1 = analytic(&def);
-        let partial = partial_session.run(
-            &mut SequentialMeasurer::new(&mut m1),
-            &Budget::trials(16),
-            &mut NullObserver,
-        );
+        let partial = partial_session.run(&mut m1, &Budget::trials(16), &mut NullObserver);
         let log = TuneLog::new(&def.name, options.seed, partial);
 
         // Warm-started search: same options + seed, log answers the prefix.
         let mut session = TuningSession::new(&def, &hw, &options).unwrap();
         let mut m2 = analytic(&def);
-        let mut seq = SequentialMeasurer::new(&mut m2);
-        let mut warm = WarmStartMeasurer::new(&log, &mut seq);
+        let mut warm = MemoMeasurer::seeded(&mut m2, log.memo());
         let resumed = session.run(&mut warm, &Budget::unlimited(), &mut NullObserver);
 
         assert_eq!(resumed.best, fresh.best, "warm start must match fresh");

@@ -4,10 +4,10 @@
 //! database, cost model, history) and exposes the loop one round at a time:
 //! [`TuningSession::next_batch`] generates, verifies and ranks the next
 //! round's candidates, the caller measures them however it likes, and
-//! [`TuningSession::record_batch`] feeds the results back.  The convenience
-//! driver [`TuningSession::run`] ties the two together with a
-//! [`BatchMeasurer`], a [`Budget`] (trial, wall-clock and early-stop limits)
-//! and a [`TuningObserver`] that streams progress as it happens.
+//! [`TuningSession::record_outcomes`] feeds the results back.  The
+//! convenience driver [`TuningSession::run`] ties the two together with a
+//! [`Measurer`], a [`Budget`] (trial, wall-clock and early-stop limits) and a
+//! [`TuningObserver`] that streams progress as it happens.
 //!
 //! Because the session never hides its state behind a blocking call, a
 //! caller can pause between rounds, persist the history to a
@@ -29,8 +29,7 @@ use crate::generator::{SpaceGenerator, UpmemSketchGenerator};
 use crate::search::CandidateDb;
 use crate::trace::Trace;
 use crate::tuner::{
-    BatchMeasurer, CancelToken, Cancellation, MeasureOutcome, TuningOptions, TuningRecord,
-    TuningResult,
+    CancelToken, Cancellation, MeasureOutcome, Measurer, TuningOptions, TuningRecord, TuningResult,
 };
 use crate::verifier::verify_trace;
 
@@ -145,15 +144,15 @@ pub struct Budget {
     /// of [`TuningResult`]).
     pub max_trials: Option<usize>,
     /// Stop once this much wall-clock time has elapsed.  The deadline is
-    /// threaded into the measurer as a [`Cancellation`], so cancellation-
-    /// aware measurers (all in-tree ones) stop *mid-round*; a measurer that
-    /// ignores it still stops at the next round boundary.
+    /// threaded into the measurer as a [`Cancellation`], so the run stops
+    /// *mid-round*; a measurer that ignores it still stops at the next
+    /// round boundary.
     pub max_wall_clock: Option<Duration>,
     /// Early-stop: give up after this many successful measurements in a row
     /// without improving the best latency.
     pub stall_trials: Option<usize>,
     /// Cooperative cancellation: when this token fires, the run stops — in
-    /// the middle of a round for cancellation-aware measurers.
+    /// the middle of a round.
     pub cancel: Option<CancelToken>,
 }
 
@@ -199,7 +198,7 @@ impl Budget {
     }
 
     /// Attaches a cooperative [`CancelToken`]: firing it (from any thread)
-    /// stops the run, mid-round for cancellation-aware measurers.
+    /// stops the run mid-round.
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -222,7 +221,7 @@ pub enum StopReason {
     Cancelled,
 }
 
-/// Streaming callbacks fired by [`TuningSession::record_batch`] and
+/// Streaming callbacks fired by [`TuningSession::record_outcomes`] and
 /// [`TuningSession::run`] as the search progresses.
 ///
 /// Every method has an empty default body, so observers implement only what
@@ -517,36 +516,15 @@ impl TuningSession {
         }
     }
 
-    /// Records one measured batch (results slot-aligned with `batch`),
+    /// Records one measured batch (outcomes slot-aligned with `batch`),
     /// updating the database, history and cost model, and firing one
-    /// observer callback per candidate.
-    ///
-    /// # Panics
-    /// Panics if `results.len() != batch.len()` — a batch measurer must
-    /// return one result per candidate.
-    pub fn record_batch(
-        &mut self,
-        batch: &[Trace],
-        results: Vec<Option<f64>>,
-        observer: &mut dyn TuningObserver,
-    ) {
-        self.record_outcomes(
-            batch,
-            results
-                .into_iter()
-                .map(MeasureOutcome::from_result)
-                .collect(),
-            observer,
-        );
-    }
-
-    /// Records one cancellable measured batch: [`MeasureOutcome::Skipped`]
+    /// observer callback per candidate.  [`MeasureOutcome::Skipped`]
     /// candidates are ignored entirely (not failures, not trials — a later
-    /// round may re-propose them); the rest behave as in
-    /// [`TuningSession::record_batch`].
+    /// round may re-propose them).
     ///
     /// # Panics
-    /// Panics if `outcomes.len() != batch.len()`.
+    /// Panics if `outcomes.len() != batch.len()` — a measurer must return
+    /// one outcome per candidate.
     pub fn record_outcomes(
         &mut self,
         batch: &[Trace],
@@ -556,7 +534,7 @@ impl TuningSession {
         assert_eq!(
             outcomes.len(),
             batch.len(),
-            "BatchMeasurer must return one result per candidate"
+            "Measurer must return one outcome per candidate"
         );
         for (cand, outcome) in batch.iter().zip(outcomes) {
             let latency = match outcome {
@@ -598,9 +576,9 @@ impl TuningSession {
     /// the evolutionary search mutates from known-good parents immediately.
     ///
     /// For bit-exact reproduction of an interrupted run, prefer replaying
-    /// the log through a [`crate::log::WarmStartMeasurer`] instead — that
-    /// path re-drives the identical search trajectory while answering known
-    /// measurements from the log.
+    /// the log through a [`crate::tuner::MemoMeasurer::seeded`] wrapper
+    /// instead — that path re-drives the identical search trajectory while
+    /// answering known measurements from the log.
     pub fn seed_database(&mut self, records: &[TuningRecord]) {
         for rec in records {
             if self.db.contains(&rec.trace) {
@@ -633,7 +611,7 @@ impl TuningSession {
     /// twice performs (up to) 20 measured trials in total.
     pub fn run(
         &mut self,
-        measurer: &mut dyn BatchMeasurer,
+        measurer: &mut dyn Measurer,
         budget: &Budget,
         observer: &mut dyn TuningObserver,
     ) -> TuningResult {
@@ -665,7 +643,7 @@ impl TuningSession {
             };
             observer.on_round_start(self.round, self.measured);
             let measured_before = self.measured;
-            let outcomes = measurer.measure_batch_cancellable(&batch, &cancellation);
+            let outcomes = measurer.measure(&batch, &cancellation);
             let skipped = outcomes
                 .iter()
                 .filter(|o| matches!(o, MeasureOutcome::Skipped))
@@ -698,7 +676,6 @@ impl TuningSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuner::SequentialMeasurer;
 
     fn analytic(def: &ComputeDef) -> impl FnMut(&Trace) -> Option<f64> {
         let work = def.total_flops() as f64;
@@ -827,10 +804,9 @@ mod tests {
 
         let mut session = TuningSession::new(&def, &hw, &opts).unwrap();
         let mut m2 = analytic(&def);
-        let mut seq = SequentialMeasurer::new(&mut m2);
         while let Some(batch) = session.next_batch() {
-            let results = seq.measure_batch(&batch);
-            session.record_batch(&batch, results, &mut NullObserver);
+            let outcomes = m2.measure(&batch, &Cancellation::none());
+            session.record_outcomes(&batch, outcomes, &mut NullObserver);
         }
         let incremental = session.result();
         assert_eq!(blocking.best, incremental.best);
@@ -882,11 +858,7 @@ mod tests {
             }
         };
         let mut obs = Counter::default();
-        let result = session.run(
-            &mut SequentialMeasurer::new(&mut measurer),
-            &Budget::unlimited(),
-            &mut obs,
-        );
+        let result = session.run(&mut measurer, &Budget::unlimited(), &mut obs);
         assert_eq!(obs.trials, result.measured, "one on_trial per measurement");
         assert_eq!(obs.failures, result.failed);
         assert!(obs.improvements >= 1);
@@ -909,19 +881,11 @@ mod tests {
 
         let mut session = TuningSession::new(&def, &hw, &opts).unwrap();
         let mut m1 = analytic(&def);
-        let partial = session.run(
-            &mut SequentialMeasurer::new(&mut m1),
-            &Budget::trials(16),
-            &mut NullObserver,
-        );
+        let partial = session.run(&mut m1, &Budget::trials(16), &mut NullObserver);
         assert!(partial.measured >= 16 && partial.measured < 32);
         // Resume: the second run picks up exactly where the first stopped.
         let mut m2 = analytic(&def);
-        let full = session.run(
-            &mut SequentialMeasurer::new(&mut m2),
-            &Budget::unlimited(),
-            &mut NullObserver,
-        );
+        let full = session.run(&mut m2, &Budget::unlimited(), &mut NullObserver);
         assert_eq!(full.measured, 32);
         assert_eq!(full.best, fresh.best);
         assert_eq!(full.history, fresh.history);
@@ -940,7 +904,7 @@ mod tests {
         let mut session = TuningSession::new(&def, &hw, &opts).unwrap();
         let mut m = analytic(&def);
         let result = session.run(
-            &mut SequentialMeasurer::new(&mut m),
+            &mut m,
             &Budget::wall_clock(Duration::from_millis(50)),
             &mut NullObserver,
         );
@@ -967,11 +931,7 @@ mod tests {
         // A constant measurer can never improve after the first trial.
         let mut m = |_: &Trace| -> Option<f64> { Some(1.0) };
         let mut obs = Reason(None);
-        let result = session.run(
-            &mut SequentialMeasurer::new(&mut m),
-            &Budget::unlimited().with_early_stop(12),
-            &mut obs,
-        );
+        let result = session.run(&mut m, &Budget::unlimited().with_early_stop(12), &mut obs);
         assert!(result.measured < 200);
         assert_eq!(obs.0, Some(StopReason::EarlyStop));
     }
@@ -1008,7 +968,7 @@ mod tests {
         };
         let mut obs = Reason(None);
         let result = session.run(
-            &mut SequentialMeasurer::new(&mut measurer),
+            &mut measurer,
             &Budget::unlimited().with_cancel_token(token.clone()),
             &mut obs,
         );
@@ -1018,11 +978,7 @@ mod tests {
         assert!(token.is_cancelled());
         // The session is still resumable after cancellation.
         let mut more = |_: &Trace| -> Option<f64> { Some(1e-3) };
-        let resumed = session.run(
-            &mut SequentialMeasurer::new(&mut more),
-            &Budget::trials(5),
-            &mut NullObserver,
-        );
+        let resumed = session.run(&mut more, &Budget::trials(5), &mut NullObserver);
         // The trial budget is checked between rounds, so the resumed run
         // completes at least 5 more trials (up to one full extra round).
         assert!(
@@ -1048,7 +1004,7 @@ mod tests {
             Some(1.0 / t.num_dpus() as f64)
         };
         let result = session.run(
-            &mut SequentialMeasurer::new(&mut measurer),
+            &mut measurer,
             &Budget::wall_clock(Duration::from_millis(35)),
             &mut NullObserver,
         );
@@ -1162,11 +1118,7 @@ mod tests {
         assert_eq!(session.generator().name(), "row-split");
         let mut measurer =
             |t: &Trace| -> Option<f64> { Some(1.0 / t.int_decision("dpus").unwrap_or(1) as f64) };
-        let result = session.run(
-            &mut crate::tuner::SequentialMeasurer::new(&mut measurer),
-            &Budget::unlimited(),
-            &mut NullObserver,
-        );
+        let result = session.run(&mut measurer, &Budget::unlimited(), &mut NullObserver);
         let (best, _) = result.best.expect("search finds a candidate");
         assert_eq!(best.sketch(), "row-split");
         assert_eq!(
@@ -1198,11 +1150,7 @@ mod tests {
         };
         let mut session = TuningSession::new(&def, &hw, &opts).unwrap();
         let mut m = analytic(&def);
-        let result = session.run(
-            &mut SequentialMeasurer::new(&mut m),
-            &Budget::unlimited(),
-            &mut NullObserver,
-        );
+        let result = session.run(&mut m, &Budget::unlimited(), &mut NullObserver);
         assert_eq!(result.measured, 24);
         assert!(result.best_latency().is_finite());
     }

@@ -184,9 +184,9 @@ impl Instruction {
 ///
 /// Identity (`Eq`/`Hash`) covers the sketch tag and the decision list only —
 /// see the module docs for why.  This is what lets the candidate database,
-/// measurement memo, dedup set and [`crate::log::WarmStartMeasurer`] key on
-/// traces whether or not a given instance happens to carry its structural
-/// instructions.
+/// the dedup set and the (log-seedable) measurement memo
+/// [`crate::tuner::MemoMeasurer`] key on traces whether or not a given
+/// instance happens to carry its structural instructions.
 #[derive(Debug, Clone)]
 pub struct Trace {
     sketch: String,

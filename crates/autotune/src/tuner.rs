@@ -2,12 +2,17 @@
 //! ranking → measurement → database/model update (Fig. 6's loop).
 //!
 //! Measurement — the stage that dominates tuning cost, exactly as in AutoTVM
-//! — is dispatched through a [`BatchMeasurer`]: each round's ranked slice is
-//! handed over as one batch so implementations can fan candidates out across
-//! worker threads (`atim-core`'s simulator measurer does).  Plain
-//! single-candidate [`Measurer`]s keep working through the
-//! [`SequentialMeasurer`] adapter.
+//! — has one contract: the tuner hands each round's ranked slice to a
+//! [`Measurer`] as one batch and gets slot-aligned [`MeasureOutcome`]s back.
+//! Implementations are free to fan the batch out (`atim-core`'s
+//! `BackendMeasurer` routes it through `Backend::measure_jobs`, which the
+//! simulator spreads over worker threads and the fleet over worker
+//! processes); a plain `FnMut(&Trace) -> Option<f64>` closure is a
+//! [`Measurer`] too, measuring one candidate at a time.  [`MemoMeasurer`] is
+//! the one memo + in-batch-dedup layer, wrapped around either.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,10 +27,9 @@ use crate::trace::Trace;
 /// A shareable cooperative-cancellation flag.
 ///
 /// Cloning shares the flag: cancel from any thread (a signal handler, a UI,
-/// a supervisor) and every [`BatchMeasurer`] that supports intra-batch
-/// cancellation stops before its next candidate.  Attach one to a
-/// [`Budget`] through its `with_cancel_token`
-/// builder method.
+/// a supervisor) and every [`Measurer`] stops before its next candidate.
+/// Attach one to a [`Budget`] through its `with_cancel_token` builder
+/// method.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -56,11 +60,11 @@ impl PartialEq for CancelToken {
 
 impl Eq for CancelToken {}
 
-/// The combined stop condition threaded through a cancellable batch: an
+/// The combined stop condition threaded through every measured batch: an
 /// optional caller-owned [`CancelToken`] plus an optional deadline (derived
 /// from [`Budget::max_wall_clock`]
-/// by [`TuningSession::run`], so a wall-clock budget can now stop
-/// *mid-round* instead of only between rounds).
+/// by [`TuningSession::run`], so a wall-clock budget stops *mid-round*
+/// instead of only between rounds).
 #[derive(Debug, Clone, Default)]
 pub struct Cancellation {
     token: Option<CancelToken>,
@@ -83,13 +87,6 @@ impl Cancellation {
         self.token_cancelled() || self.deadline_passed()
     }
 
-    /// Whether this condition can never trigger (no token, no deadline) —
-    /// lets adapters route an uncancellable batch through the plain
-    /// [`BatchMeasurer::measure_batch`] path unchanged.
-    pub fn is_inert(&self) -> bool {
-        self.token.is_none() && self.deadline.is_none()
-    }
-
     /// Whether the caller's token requested cancellation.
     pub fn token_cancelled(&self) -> bool {
         self.token
@@ -104,7 +101,7 @@ impl Cancellation {
     }
 }
 
-/// Per-candidate outcome of a cancellable measurement batch.
+/// Per-candidate outcome of a measured batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MeasureOutcome {
     /// The candidate measured successfully (latency in seconds).
@@ -117,7 +114,7 @@ pub enum MeasureOutcome {
 }
 
 impl MeasureOutcome {
-    /// Converts the plain measurement signal (`Some(latency)` / `None`).
+    /// Converts the single-candidate signal (`Some(latency)` / `None`).
     pub fn from_result(result: Option<f64>) -> Self {
         match result {
             Some(latency) => MeasureOutcome::Measured(latency),
@@ -126,91 +123,172 @@ impl MeasureOutcome {
     }
 }
 
-/// How a candidate's latency is obtained.  `atim-core` implements this by
-/// compiling the candidate trace (PIM-aware passes included) and running it
-/// on the simulated UPMEM machine; tests may use analytic stand-ins reading
-/// the trace's decisions.
-pub trait Measurer {
-    /// Measures one candidate, returning its latency in seconds, or `None`
-    /// if the candidate failed to build or run.
-    fn measure(&mut self, trace: &Trace) -> Option<f64>;
-}
-
-impl<F> Measurer for F
-where
-    F: FnMut(&Trace) -> Option<f64>,
-{
-    fn measure(&mut self, trace: &Trace) -> Option<f64> {
-        self(trace)
-    }
-}
-
-/// Measures a whole round's worth of candidates at once.
+/// How a round's candidates get their latencies.
 ///
 /// The tuning loop never depends on measurement *order within a batch*, only
 /// on the returned slots, so implementations are free to measure candidates
 /// concurrently as long as results land at the index of their candidate.
-/// Given a deterministic per-candidate measurer this makes parallel tuning
-/// bit-identical to sequential tuning.
-pub trait BatchMeasurer {
-    /// Measures every candidate, returning one result per candidate **in
-    /// input order** (`result[i]` belongs to `traces[i]`).  `None` marks a
-    /// candidate that failed to build or run.
-    fn measure_batch(&mut self, traces: &[Trace]) -> Vec<Option<f64>>;
+/// Given a deterministic per-candidate measurement this makes parallel
+/// tuning bit-identical to sequential tuning.
+pub trait Measurer {
+    /// Measures every candidate, returning one outcome per candidate **in
+    /// input order** (`result[i]` belongs to `traces[i]`).  Implementations
+    /// check `cancel` before each candidate; candidates not measured because
+    /// it triggered come back as [`MeasureOutcome::Skipped`].
+    fn measure(&mut self, traces: &[Trace], cancel: &Cancellation) -> Vec<MeasureOutcome>;
+}
 
-    /// Like [`BatchMeasurer::measure_batch`], but allowed to stop mid-batch
-    /// when `cancel` triggers; candidates not measured return
-    /// [`MeasureOutcome::Skipped`] (slot-aligned, like the plain batch).
-    ///
-    /// The default cannot interrupt `measure_batch` and therefore measures
-    /// the whole batch; implementations that control their own candidate
-    /// loop should override it and check `cancel` between candidates.
-    fn measure_batch_cancellable(
-        &mut self,
-        traces: &[Trace],
-        cancel: &Cancellation,
-    ) -> Vec<MeasureOutcome> {
-        let _ = cancel;
-        self.measure_batch(traces)
-            .into_iter()
-            .map(MeasureOutcome::from_result)
+/// A closure timing one candidate (`None` = failed to build or run) measures
+/// a batch one candidate at a time — how analytic test measurers take part
+/// in the batch contract.
+impl<F> Measurer for F
+where
+    F: FnMut(&Trace) -> Option<f64>,
+{
+    fn measure(&mut self, traces: &[Trace], cancel: &Cancellation) -> Vec<MeasureOutcome> {
+        traces
+            .iter()
+            .map(|trace| {
+                if cancel.cancelled() {
+                    MeasureOutcome::Skipped
+                } else {
+                    MeasureOutcome::from_result(self(trace))
+                }
+            })
             .collect()
     }
 }
 
-/// Adapter running a plain [`Measurer`] one candidate at a time — the default
-/// way analytic test measurers and closures participate in the batch
-/// interface.
-pub struct SequentialMeasurer<'a> {
+/// One memoized measurement: the answer, and whether a log supplied it.
+struct MemoEntry {
+    result: Option<f64>,
+    from_log: bool,
+}
+
+/// The one memo + in-batch-dedup layer over any [`Measurer`], keyed on trace
+/// identity (sketch + decision list).
+///
+/// * **In-batch deduplication** — duplicates within one batch resolve to a
+///   single inner measurement.
+/// * **Cross-round memoization** — every answer (failures included) is
+///   remembered: the evolutionary search can re-propose a candidate whose
+///   measurement previously *failed* (successes are deduplicated by the
+///   candidate database), and repeated runs over one instance skip
+///   re-measurement entirely.
+/// * **Log seeding** ([`MemoMeasurer::seeded`]) — measurements recorded in a
+///   [`crate::log::TuneLog`] pre-fill the memo, so driving a fresh
+///   [`TuningSession`] (same options, same seed) through the wrapper
+///   re-creates the original search trajectory bit-for-bit while only
+///   candidates the log does not contain reach the inner measurer: an
+///   interrupted search "resumes" at the cost of the remaining measurements.
+///
+/// Memo answers are free and honored even when `cancel` has triggered; only
+/// candidates that need the inner measurer respect it, and a
+/// [`MeasureOutcome::Skipped`] candidate is never memoized, so a later round
+/// measures it for real.
+pub struct MemoMeasurer<'a> {
     inner: &'a mut dyn Measurer,
+    memo: HashMap<Trace, MemoEntry>,
+    cache_hits: usize,
+    replayed: usize,
+    fresh: usize,
 }
 
-impl<'a> SequentialMeasurer<'a> {
-    /// Wraps a single-candidate measurer.
+impl<'a> MemoMeasurer<'a> {
+    /// Wraps `inner` with an empty memo.
     pub fn new(inner: &'a mut dyn Measurer) -> Self {
-        SequentialMeasurer { inner }
+        Self::seeded(inner, HashMap::new())
+    }
+
+    /// Wraps `inner` with a memo pre-filled from a log
+    /// ([`crate::log::TuneLog::memo`]).
+    pub fn seeded(inner: &'a mut dyn Measurer, log_memo: HashMap<Trace, f64>) -> Self {
+        let from_log = |latency| MemoEntry {
+            result: Some(latency),
+            from_log: true,
+        };
+        MemoMeasurer {
+            inner,
+            memo: log_memo
+                .into_iter()
+                .map(|(trace, latency)| (trace, from_log(latency)))
+                .collect(),
+            cache_hits: 0,
+            replayed: 0,
+            fresh: 0,
+        }
+    }
+
+    /// Number of distinct traces in the memo (seeded or measured).
+    pub fn cache_len(&self) -> usize {
+        self.memo.len()
+    }
+
+    /// Number of candidates answered from the memo instead of the inner
+    /// measurer.
+    pub fn cache_hits(&self) -> usize {
+        self.cache_hits
+    }
+
+    /// Number of candidates answered by an entry seeded from a log (a
+    /// subset of [`MemoMeasurer::cache_hits`]).
+    pub fn replayed(&self) -> usize {
+        self.replayed
+    }
+
+    /// Number of distinct candidates the inner measurer answered (measured
+    /// or failed, not skipped).
+    pub fn fresh(&self) -> usize {
+        self.fresh
     }
 }
 
-impl BatchMeasurer for SequentialMeasurer<'_> {
-    fn measure_batch(&mut self, traces: &[Trace]) -> Vec<Option<f64>> {
-        traces.iter().map(|c| self.inner.measure(c)).collect()
-    }
-
-    fn measure_batch_cancellable(
-        &mut self,
-        traces: &[Trace],
-        cancel: &Cancellation,
-    ) -> Vec<MeasureOutcome> {
-        traces
-            .iter()
-            .map(|c| {
-                if cancel.cancelled() {
-                    MeasureOutcome::Skipped
-                } else {
-                    MeasureOutcome::from_result(self.inner.measure(c))
+impl Measurer for MemoMeasurer<'_> {
+    fn measure(&mut self, traces: &[Trace], cancel: &Cancellation) -> Vec<MeasureOutcome> {
+        // First pass: answer from the memo, and pick one representative per
+        // distinct unknown trace (first-occurrence order).
+        let mut out: Vec<Option<MeasureOutcome>> = Vec::with_capacity(traces.len());
+        let mut misses: Vec<Trace> = Vec::new();
+        let mut miss_of: HashMap<&Trace, usize> = HashMap::new();
+        for trace in traces {
+            let hit = self.memo.get(trace).map(|entry| {
+                self.cache_hits += 1;
+                self.replayed += usize::from(entry.from_log);
+                MeasureOutcome::from_result(entry.result)
+            });
+            if hit.is_none() {
+                if let Entry::Vacant(slot) = miss_of.entry(trace) {
+                    slot.insert(misses.len());
+                    misses.push(trace.clone());
                 }
-            })
+            }
+            out.push(hit);
+        }
+        if misses.is_empty() {
+            return out.into_iter().flatten().collect();
+        }
+
+        let measured = self.inner.measure(&misses, cancel);
+        assert_eq!(
+            measured.len(),
+            misses.len(),
+            "Measurer must return one outcome per candidate"
+        );
+        for (trace, outcome) in misses.into_iter().zip(&measured) {
+            let result = match *outcome {
+                MeasureOutcome::Measured(latency) => Some(latency),
+                MeasureOutcome::Failed => None,
+                MeasureOutcome::Skipped => continue,
+            };
+            self.fresh += 1;
+            let from_log = false;
+            self.memo.insert(trace, MemoEntry { result, from_log });
+        }
+        // Unknown slots (duplicates included) follow their representative —
+        // or are skipped alongside it.
+        out.into_iter()
+            .zip(traces)
+            .map(|(hit, trace)| hit.unwrap_or_else(|| measured[miss_of[trace]]))
             .collect()
     }
 }
@@ -295,25 +373,6 @@ impl TuningResult {
     }
 }
 
-/// Runs the full autotuning loop for one workload with a single-candidate
-/// measurer.
-///
-/// Equivalent to [`tune_batch`] with the [`SequentialMeasurer`] adapter; see
-/// there for the loop structure.
-///
-/// # Panics
-/// Panics if `options` is inconsistent (see
-/// [`crate::session::validate_options`]); use [`TuningSession::new`] for a
-/// typed error instead.
-pub fn tune(
-    def: &ComputeDef,
-    hw: &UpmemConfig,
-    options: &TuningOptions,
-    measurer: &mut dyn Measurer,
-) -> TuningResult {
-    tune_batch(def, hw, options, &mut SequentialMeasurer::new(measurer))
-}
-
 /// Runs the full autotuning loop for one workload.
 ///
 /// Candidates are generated from the two design spaces (with and without
@@ -334,14 +393,14 @@ pub fn tune(
 /// Panics if `options` is inconsistent (see
 /// [`crate::session::validate_options`]); use [`TuningSession::new`] for a
 /// typed error instead.
-pub fn tune_batch(
+pub fn tune(
     def: &ComputeDef,
     hw: &UpmemConfig,
     options: &TuningOptions,
-    measurer: &mut dyn BatchMeasurer,
+    measurer: &mut dyn Measurer,
 ) -> TuningResult {
     let mut session =
-        TuningSession::new(def, hw, options).unwrap_or_else(|err| panic!("tune_batch: {err}"));
+        TuningSession::new(def, hw, options).unwrap_or_else(|err| panic!("tune: {err}"));
     session.run(measurer, &Budget::unlimited(), &mut NullObserver)
 }
 
@@ -462,11 +521,11 @@ mod tests {
             max_batch: usize,
             batches: usize,
         }
-        impl<F: FnMut(&Trace) -> Option<f64>> BatchMeasurer for CountingBatch<F> {
-            fn measure_batch(&mut self, traces: &[Trace]) -> Vec<Option<f64>> {
+        impl<F: FnMut(&Trace) -> Option<f64>> Measurer for CountingBatch<F> {
+            fn measure(&mut self, traces: &[Trace], cancel: &Cancellation) -> Vec<MeasureOutcome> {
                 self.batches += 1;
                 self.max_batch = self.max_batch.max(traces.len());
-                traces.iter().map(|c| (self.inner)(c)).collect()
+                self.inner.measure(traces, cancel)
             }
         }
 
@@ -485,7 +544,7 @@ mod tests {
             max_batch: 0,
             batches: 0,
         };
-        let batched = tune_batch(&def, &hw, &opts, &mut batch);
+        let batched = tune(&def, &hw, &opts, &mut batch);
         // Identical search trajectory: same history, same best.
         assert_eq!(sequential.history, batched.history);
         assert_eq!(sequential.best, batched.best);

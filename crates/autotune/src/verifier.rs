@@ -164,18 +164,6 @@ pub fn verify_trace(
     Ok(lowered)
 }
 
-/// Verifies a knob-vector configuration — the pre-trace entry point, now a
-/// thin wrapper over [`verify_trace`] via the `ScheduleConfig → Trace`
-/// conversion.
-#[deprecated(since = "0.3.0", note = "use `verify_trace` with a schedule trace")]
-pub fn verify(
-    config: &ScheduleConfig,
-    def: &ComputeDef,
-    hw: &UpmemConfig,
-) -> Result<Lowered, VerifyError> {
-    verify_trace(&config.to_trace(def), def, hw)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,17 +251,6 @@ mod tests {
             matches!(err, VerifyError::MramOverflow { .. }),
             "expected MRAM overflow, got {err}"
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_config_wrapper_agrees_with_verify_trace() {
-        let def = ComputeDef::mtv("mtv", 1024, 1024);
-        let hw = UpmemConfig::default();
-        let cfg = base_config();
-        let via_config = verify(&cfg, &def, &hw).unwrap();
-        let via_trace = verify_trace(&cfg.to_trace(&def), &def, &hw).unwrap();
-        assert_eq!(via_config.grid.num_dpus(), via_trace.grid.num_dpus());
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Property tests of the tuning-log persistence layer: JSON encode→decode
 //! must be the identity for every `ScheduleConfig`, `Trace`, `TuningRecord`,
-//! `TuningResult` and `TuneLog` the tuner can produce.
+//! `TuningResult` and `TuneLog` the tuner can produce — and of the one
+//! memo/dedup measurement wrapper (`MemoMeasurer`).
+
+use std::collections::{HashMap, HashSet};
 
 use atim_autotune::json::{Json, JsonCodec};
 use atim_autotune::log::TuneLog;
 use atim_autotune::{
-    CacheEntry, CacheKey, Decision, ScheduleCache, ScheduleConfig, Trace, TuningRecord,
-    TuningResult,
+    CacheEntry, CacheKey, CancelToken, Cancellation, Decision, MeasureOutcome, Measurer,
+    MemoMeasurer, ScheduleCache, ScheduleConfig, Trace, TuningRecord, TuningResult,
 };
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
@@ -312,6 +315,139 @@ proptest! {
         prop_assert_eq!(forward.len(), backward.len());
         for entry in forward.entries() {
             prop_assert_eq!(backward.lookup(&entry.key), Some(entry));
+        }
+    }
+}
+
+/// Size of the trace pool the memo properties draw batches from.
+const POOL: usize = 8;
+
+/// The `id`-th trace of the pool.
+fn pool_trace(id: usize) -> Trace {
+    Trace::from_decisions("pool", vec![("id".to_string(), Decision::Int(id as i64))])
+}
+
+/// What the deterministic inner measurer answers for pool trace `id`: every
+/// third trace fails, the rest measure a latency unique to the trace.
+fn inner_answer(id: usize) -> MeasureOutcome {
+    if id % 3 == 0 {
+        MeasureOutcome::Failed
+    } else {
+        MeasureOutcome::Measured(1e-3 * (1 + id) as f64)
+    }
+}
+
+/// The latency a log seeded for pool trace `id` — distinguishable from
+/// anything the inner measurer answers.
+fn seeded_latency(id: usize) -> f64 {
+    100.0 + id as f64
+}
+
+/// A batch of `len` pool ids (duplicates included) unpacked from `bits`.
+fn batch_ids(bits: u64, len: usize) -> Vec<usize> {
+    (0..len)
+        .map(|i| (bits >> (3 * i)) as usize % POOL)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The single memo/dedup layer: random batches with duplicates, an
+    /// inner measurer that fails on some traces and counts its calls, a
+    /// random subset pre-seeded as a log memo, and a cancellation firing
+    /// after `fire_after` inner calls (0 = before the first).
+    #[test]
+    fn memo_measurer_dedups_memoizes_and_never_caches_skips(
+        seed_mask in 0u64..(1 << POOL),
+        fire_after in 0usize..12,
+        batch_bits in 0u64..u64::MAX,
+        len_bits in 0u64..u64::MAX,
+    ) {
+        let seeded: HashSet<usize> = (0..POOL).filter(|id| seed_mask >> id & 1 == 1).collect();
+        let log_memo: HashMap<Trace, f64> = seeded
+            .iter()
+            .map(|&id| (pool_trace(id), seeded_latency(id)))
+            .collect();
+
+        let token = CancelToken::new();
+        if fire_after == 0 {
+            token.cancel();
+        }
+        let fire = token.clone();
+        let mut calls = [0usize; POOL];
+        let mut total = 0usize;
+        // A closure measurer: the blanket impl checks the cancellation
+        // between candidates.
+        let mut inner = |trace: &Trace| -> Option<f64> {
+            let id = trace.int_decision("id").unwrap() as usize;
+            calls[id] += 1;
+            total += 1;
+            if total == fire_after {
+                fire.cancel();
+            }
+            match inner_answer(id) {
+                MeasureOutcome::Measured(latency) => Some(latency),
+                _ => None,
+            }
+        };
+        let mut memo = MemoMeasurer::seeded(&mut inner, log_memo);
+        prop_assert_eq!(memo.cache_len(), seeded.len());
+
+        // The traces with a memoized answer, tracked independently.
+        let mut known: HashSet<usize> = seeded.clone();
+        let cancel = Cancellation::new(Some(token), None);
+        // Three rounds under the (eventually fired) token, then the whole
+        // pool under a condition that never triggers.
+        let mut rounds: Vec<(Vec<usize>, Cancellation)> = (0..3)
+            .map(|round| {
+                let len = 1 + (len_bits >> (4 * round)) as usize % 10;
+                (batch_ids(batch_bits.rotate_left(21 * round), len), cancel.clone())
+            })
+            .collect();
+        rounds.push(((0..POOL).chain(0..POOL).collect(), Cancellation::none()));
+
+        for (ids, cancel) in rounds {
+            let batch: Vec<Trace> = ids.iter().map(|&id| pool_trace(id)).collect();
+            let hits_before = memo.cache_hits();
+            let replayed_before = memo.replayed();
+            let outcomes = memo.measure(&batch, &cancel);
+            // Slot-aligned: one outcome per candidate, each the answer of
+            // *its* trace — from the log when seeded (even when cancelled
+            // before the first call), from the inner measurer otherwise.
+            prop_assert_eq!(outcomes.len(), batch.len());
+            let mut by_trace: HashMap<usize, MeasureOutcome> = HashMap::new();
+            for (&id, &outcome) in ids.iter().zip(&outcomes) {
+                if seeded.contains(&id) {
+                    prop_assert_eq!(outcome, MeasureOutcome::Measured(seeded_latency(id)));
+                } else if outcome != MeasureOutcome::Skipped {
+                    prop_assert_eq!(outcome, inner_answer(id));
+                }
+                // Duplicates follow their representative — skipped ones too.
+                prop_assert_eq!(*by_trace.entry(id).or_insert(outcome), outcome);
+            }
+            // Exactly the slots whose trace was already memoized are memo
+            // hits: nothing skipped earlier is answered from the memo.
+            let expected_hits = ids.iter().filter(|id| known.contains(id)).count();
+            prop_assert_eq!(memo.cache_hits() - hits_before, expected_hits);
+            let expected_replays = ids.iter().filter(|id| seeded.contains(id)).count();
+            prop_assert_eq!(memo.replayed() - replayed_before, expected_replays);
+            known.extend(
+                by_trace
+                    .iter()
+                    .filter(|(_, outcome)| **outcome != MeasureOutcome::Skipped)
+                    .map(|(&id, _)| id),
+            );
+            prop_assert_eq!(memo.cache_len(), known.len());
+        }
+
+        // The uncancelled final round measured whatever was still unknown,
+        // so the inner measurer saw every unseeded trace exactly once across
+        // all rounds, and no seeded trace ever.
+        prop_assert_eq!(memo.fresh(), POOL - seeded.len());
+        drop(memo);
+        for (id, &count) in calls.iter().enumerate() {
+            prop_assert_eq!(count, usize::from(!seeded.contains(&id)), "trace {}", id);
         }
     }
 }

@@ -16,9 +16,7 @@
 use atim_autotune::cost_model::{featurize_config, CostModel, NUM_FEATURES};
 use atim_autotune::session::{Budget, NullObserver, TuningSession};
 use atim_autotune::verifier::verify_lowered;
-use atim_autotune::{
-    ScheduleConfig, SearchSpace, SequentialMeasurer, Trace, TuningOptions, VerifyError,
-};
+use atim_autotune::{ScheduleConfig, SearchSpace, Trace, TuningOptions, VerifyError};
 use atim_sim::UpmemConfig;
 use atim_tir::compute::ComputeDef;
 use rand::rngs::StdRng;
@@ -384,11 +382,7 @@ fn fixed_seed_tuning_matches_the_pre_trace_tuner() {
             let cfg = ScheduleConfig::from_trace(t).expect("upmem trace carries knobs");
             f(&cfg)
         };
-        let new = session.run(
-            &mut SequentialMeasurer::new(&mut new_measure),
-            &Budget::unlimited(),
-            &mut NullObserver,
-        );
+        let new = session.run(&mut new_measure, &Budget::unlimited(), &mut NullObserver);
 
         assert_eq!(new.measured, old.measured, "{}: measured", def.name);
         assert_eq!(new.failed, old.failed, "{}: failed", def.name);

@@ -2,7 +2,7 @@
 //! verification, cost-model ranking and measurement (the machinery behind
 //! Fig. 14/15).
 
-use atim_autotune::{tune, tune_batch, ScheduleConfig, Trace, TuningOptions};
+use atim_autotune::{tune, MemoMeasurer, ScheduleConfig, Trace, TuningOptions};
 use atim_core::prelude::*;
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -43,12 +43,13 @@ fn bench_small_tuning_session(c: &mut Criterion) {
             tune(&def, session.hardware(), &options, &mut measurer)
         })
     });
-    group.bench_function("tune_batch_parallel_16_trials_mtv_1k", |b| {
+    group.bench_function("tune_backend_jobs_16_trials_mtv_1k", |b| {
         b.iter(|| {
             // Fresh measurer per iteration so the memo cache does not carry
             // over between timed runs.
-            let mut measurer = BackendMeasurer::new(session.backend(), &def);
-            tune_batch(&def, session.hardware(), &options, &mut measurer)
+            let mut backend = BackendMeasurer::new(session.backend(), &def, "upmem", options.seed);
+            let mut measurer = MemoMeasurer::new(&mut backend);
+            tune(&def, session.hardware(), &options, &mut measurer)
         })
     });
     group.finish();

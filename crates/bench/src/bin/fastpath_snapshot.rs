@@ -18,9 +18,8 @@
 
 use std::time::Instant;
 
-use atim_autotune::{Json, ScheduleConfig};
+use atim_autotune::{Cancellation, Json, MeasureOutcome, Measurer, ScheduleConfig};
 use atim_core::prelude::*;
-use atim_core::SimBackend;
 
 fn candidate_batch(def: &ComputeDef, hw: &UpmemConfig) -> Vec<Trace> {
     let base = ScheduleConfig::default_for(def, hw);
@@ -37,11 +36,18 @@ fn candidate_batch(def: &ComputeDef, hw: &UpmemConfig) -> Vec<Trace> {
         .collect()
 }
 
+/// One batch through the job path, exactly as the tuner sends it.
+fn measure_all(backend: &SimBackend, def: &ComputeDef, batch: &[Trace]) -> Vec<MeasureOutcome> {
+    BackendMeasurer::new(backend, def, "upmem", 0).measure(batch, &Cancellation::none())
+}
+
 fn time_batch(backend: &SimBackend, def: &ComputeDef, batch: &[Trace]) -> f64 {
     let start = Instant::now();
-    let results = backend.measure_batch(batch, def);
+    let results = measure_all(backend, def, batch);
     assert!(
-        results.iter().any(|r| r.is_some()),
+        results
+            .iter()
+            .any(|r| matches!(r, MeasureOutcome::Measured(_))),
         "no candidate measured for {}",
         def.name
     );
@@ -75,8 +81,8 @@ fn main() {
         let batch = candidate_batch(def, &hw);
         // Results must agree bit-for-bit; only the wall-clock differs.
         assert_eq!(
-            slow.measure_batch(&batch, def),
-            fast.measure_batch(&batch, def),
+            measure_all(&slow, def, &batch),
+            measure_all(&fast, def, &batch),
             "fast path changed a measurement for {}",
             def.name
         );

@@ -17,7 +17,7 @@
 
 use atim_autotune::search::SearchStrategy;
 use atim_autotune::session::{Budget, TuningObserver, TuningSession};
-use atim_autotune::{CostModelKind, TuningOptions, TuningRecord};
+use atim_autotune::{CostModelKind, MemoMeasurer, TuningOptions, TuningRecord};
 use atim_core::prelude::*;
 use atim_model::GbdtModel;
 use std::time::Instant;
@@ -100,9 +100,15 @@ fn main() {
             // re-proposed candidates *within* a sweep, but no measurement
             // cost leaks between sweeps, keeping the wall-clock lines
             // comparable.
-            let mut measurer = BackendMeasurer::new(session.backend(), &def);
             let mut tuning = TuningSession::new(&def, session.hardware(), &options)
                 .expect("harness tuning options are valid");
+            let mut backend = BackendMeasurer::new(
+                session.backend(),
+                &def,
+                tuning.generator().name(),
+                options.seed,
+            );
+            let mut measurer = MemoMeasurer::new(&mut backend);
             if estimator == CostModelKind::Gbdt {
                 tuning = tuning.with_cost_estimator(Box::new(GbdtModel::default()));
             }

@@ -5,27 +5,14 @@
 //! 64-trial iteration (dominated by candidate simulation), mirroring how the
 //! paper's measurement is dominated by on-hardware runs; the CPU column uses
 //! the host roofline model as the candidate execution time.  Each iteration
-//! is tuned twice — once with a sequential one-at-a-time measurer and once
-//! with the session's batch-parallel backend (`ATIM_MEASURE_THREADS`
-//! workers) — so the output shows the tuning-cost win of batching directly.
+//! is tuned twice — once with a closure measurer timing one candidate at a
+//! time and once through the backend adapter (`Backend::measure_jobs` on
+//! `ATIM_MEASURE_THREADS` workers, behind the memo) — so the output shows
+//! the tuning-cost win of batching directly.
 
-use atim_autotune::{tune, tune_batch, Measurer, Trace, TuningOptions};
+use atim_autotune::{tune, MemoMeasurer, Trace, TuningOptions};
 use atim_core::prelude::*;
 use std::time::Instant;
-
-struct RecordingMeasurer<'a> {
-    session: &'a Session,
-    def: &'a ComputeDef,
-    candidate_ms: Vec<f64>,
-}
-
-impl Measurer for RecordingMeasurer<'_> {
-    fn measure(&mut self, trace: &Trace) -> Option<f64> {
-        let latency = self.session.measure(trace, self.def)?;
-        self.candidate_ms.push(latency * 1e3);
-        Some(latency)
-    }
-}
 
 fn main() {
     let session = atim_bench::session();
@@ -36,8 +23,8 @@ fn main() {
 
     println!("# Fig 15 (left): per-iteration tuning wall-clock (seconds)");
     println!(
-        "# sequential = plain one-at-a-time measurer (no memo); batch = \
-         session backend with {threads} threads + cross-round memo"
+        "# sequential = closure measurer, one candidate at a time (no memo); batch = \
+         backend adapter with {threads} threads + cross-round memo"
     );
     println!("iteration,upmem_seq_tuning_s,upmem_par_tuning_s,cpu_tuning_s");
     let mut all_candidates: Vec<f64> = Vec::new();
@@ -51,18 +38,20 @@ fn main() {
             seed: 0x100 + it as u64,
             ..TuningOptions::default()
         };
-        let mut measurer = RecordingMeasurer {
-            session: &session,
-            def: &def,
-            candidate_ms: Vec::new(),
+        let mut candidate_ms: Vec<f64> = Vec::new();
+        let mut measurer = |trace: &Trace| {
+            let latency = session.measure(trace, &def)?;
+            candidate_ms.push(latency * 1e3);
+            Some(latency)
         };
         let start = Instant::now();
         let seq_result = tune(&def, session.hardware(), &options, &mut measurer);
         let seq_s = start.elapsed().as_secs_f64();
 
-        let mut batch = BackendMeasurer::new(session.backend(), &def);
+        let mut backend = BackendMeasurer::new(session.backend(), &def, "upmem", options.seed);
+        let mut batch = MemoMeasurer::new(&mut backend);
         let start = Instant::now();
-        let par_result = tune_batch(&def, session.hardware(), &options, &mut batch);
+        let par_result = tune(&def, session.hardware(), &options, &mut batch);
         let par_s = start.elapsed().as_secs_f64();
         assert_eq!(
             seq_result.best, par_result.best,
@@ -76,7 +65,7 @@ fn main() {
         println!("{it},{seq_s:.3},{par_s:.3},{cpu_s:.3}");
         total_seq += seq_s;
         total_par += par_s;
-        all_candidates.extend(measurer.candidate_ms);
+        all_candidates.extend(candidate_ms);
     }
     println!(
         "# total: sequential {total_seq:.2}s, batch subsystem {total_par:.2}s \

@@ -25,7 +25,8 @@
 //! Harness knobs (environment variables):
 //!
 //! * `ATIM_TRIALS` — autotuning trials per workload (default 48; the paper
-//!   uses 1000, which also works but takes correspondingly longer).
+//!   uses 1000, which also works but takes correspondingly longer).  Must
+//!   be a positive integer; anything else aborts naming the variable.
 //! * `ATIM_FULL` — set to `1` to run every paper size; by default the larger
 //!   256/512 MB presets are skipped to keep a full harness sweep short.
 //! * `ATIM_TUNE_LOG` — a directory for persistent tuning logs.  Each tuned
@@ -119,12 +120,35 @@ pub fn session_for_generator(id: &str) -> Session {
     builder.space_generator_arc(generator).build()
 }
 
-/// Number of autotuning trials used by the harnesses.
+/// Environment variable overriding the harnesses' autotuning trial budget.
+const TRIALS_ENV: &str = "ATIM_TRIALS";
+
+/// Parses an `ATIM_TRIALS` value.
+///
+/// # Errors
+/// Rejects zero and non-numeric values with a message naming the variable
+/// — a misconfigured budget must fail loudly, not silently tune 48 trials
+/// (or reach the tuner as a `ZeroTrials` panic).
+fn parse_trials(raw: &str) -> Result<usize, String> {
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "{TRIALS_ENV} must be a positive integer, got \"{raw}\""
+        )),
+    }
+}
+
+/// Number of autotuning trials used by the harnesses: `ATIM_TRIALS` if
+/// set, otherwise 48.
+///
+/// # Panics
+/// Panics with a descriptive message when `ATIM_TRIALS` is set to an
+/// invalid value (`0`, negative, or non-numeric).
 pub fn trials_from_env() -> usize {
-    std::env::var("ATIM_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(48)
+    match std::env::var(TRIALS_ENV) {
+        Ok(raw) => parse_trials(&raw).unwrap_or_else(|msg| panic!("{msg}")),
+        Err(_) => 48,
+    }
 }
 
 /// Whether the harness should run every paper-sized preset.
@@ -487,6 +511,20 @@ mod tests {
         let w = Workload::new(WorkloadKind::Mtv, vec![512, 512]);
         assert!(simplepim_report(&session, &w).is_none());
         assert!(prim_report(&session, &w).is_some());
+    }
+
+    #[test]
+    fn trial_budget_parsing_fails_loudly_on_invalid_values() {
+        // The env itself is process-global, so test the parser directly.
+        assert_eq!(parse_trials("48"), Ok(48));
+        assert_eq!(parse_trials(" 8 "), Ok(8), "whitespace is tolerated");
+        for bad in ["0", "abc", "", "-1"] {
+            let err = parse_trials(bad).unwrap_err();
+            assert!(
+                err.contains(TRIALS_ENV) && err.contains("positive integer"),
+                "{bad:?} -> {err}"
+            );
+        }
     }
 
     #[test]

@@ -11,13 +11,19 @@
 //! Two implementations ship in-tree:
 //!
 //! * [`SimBackend`] — the default: compiles with the PIM-aware passes and
-//!   times candidates on the simulated UPMEM machine, fanning each batch
-//!   across `std::thread::scope` workers (`ATIM_MEASURE_THREADS`).
+//!   times candidates on the simulated UPMEM machine, fanning each batch of
+//!   jobs across `std::thread::scope` workers (`ATIM_MEASURE_THREADS`).
 //! * [`AnalyticBackend`] — a deterministic closed-form latency model with
 //!   the same optimum shape as the simulator (more DPUs/tasklets and
 //!   mid-sized WRAM tiles win).  It never interprets a kernel, so tuning
 //!   against it is thousands of times faster — ideal for tests and for
 //!   exercising the tuning loop itself.
+//!
+//! A backend measures in exactly two forms: [`Backend::measure`] times one
+//! candidate in-process, and [`Backend::measure_jobs`] answers a batch of
+//! routable [`MeasureJob`]s slot-aligned, checking the [`Cancellation`]
+//! before each.  The tuner reaches the batch form through
+//! [`crate::measure::BackendMeasurer`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -92,63 +98,24 @@ pub trait Backend: Send + Sync {
         self.time(&module).ok().map(|r| r.total_s())
     }
 
-    /// Measures a whole batch, one result per candidate **in input order**.
-    /// The default measures sequentially; backends override this to
-    /// parallelize.
-    fn measure_batch(&self, traces: &[Trace], def: &ComputeDef) -> Vec<Option<f64>> {
-        traces.iter().map(|c| self.measure(c, def)).collect()
-    }
-
-    /// Like [`Backend::measure_batch`], but checks `cancel` between
-    /// candidates: once it triggers, the remaining slots come back as
-    /// [`MeasureOutcome::Skipped`] instead of being measured.  An inert
-    /// cancellation routes through [`Backend::measure_batch`], so backends
-    /// that only override the plain batch keep their batching behavior.
-    fn measure_batch_cancellable(
-        &self,
-        traces: &[Trace],
-        def: &ComputeDef,
-        cancel: &Cancellation,
-    ) -> Vec<MeasureOutcome> {
-        if cancel.is_inert() {
-            return self
-                .measure_batch(traces, def)
-                .into_iter()
-                .map(MeasureOutcome::from_result)
-                .collect();
-        }
-        traces
-            .iter()
-            .map(|c| {
-                if cancel.cancelled() {
-                    MeasureOutcome::Skipped
-                } else {
-                    MeasureOutcome::from_result(self.measure(c, def))
-                }
-            })
-            .collect()
-    }
-
     /// Measures a batch of serializable [`MeasureJob`]s, one report per job
-    /// **in input order**, each echoing its job's id.
+    /// **in input order**, each echoing its job's id.  `cancel` is checked
+    /// before each job: once it triggers, the remaining jobs come back as
+    /// [`MeasureOutcome::Skipped`] instead of being measured.
     ///
-    /// This is the routable form of [`Backend::measure_batch_cancellable`]:
-    /// a job carries the workload/generator/seed context a shared-nothing
+    /// A job carries the workload/generator/seed context a shared-nothing
     /// worker needs, so a dispatching backend (the fleet) can forward it to
-    /// another process.  The default unwraps the already-materialized
-    /// traces and measures in-process, which keeps every existing backend's
-    /// batching, deduplication and cancellation behavior bit-identical.
+    /// another process.  The default measures the already-materialized
+    /// traces sequentially through [`Backend::measure`]; backends override
+    /// it to parallelize or route.
     fn measure_jobs(
         &self,
         jobs: &[MeasureJob],
         def: &ComputeDef,
         cancel: &Cancellation,
     ) -> Vec<MeasureReport> {
-        let traces: Vec<Trace> = jobs.iter().map(|j| j.trace.clone()).collect();
-        self.measure_batch_cancellable(&traces, def, cancel)
-            .into_iter()
-            .zip(jobs)
-            .map(|(outcome, job)| MeasureReport::new(job.id, outcome))
+        jobs.iter()
+            .map(|job| MeasureReport::new(job.id, measure_job(self, job, def, cancel)))
             .collect()
     }
 
@@ -160,13 +127,28 @@ pub trait Backend: Send + Sync {
     }
 }
 
+/// One in-process job: [`MeasureOutcome::Skipped`] once `cancel` has
+/// triggered, the job's trace through [`Backend::measure`] otherwise.
+fn measure_job<B: Backend + ?Sized>(
+    backend: &B,
+    job: &MeasureJob,
+    def: &ComputeDef,
+    cancel: &Cancellation,
+) -> MeasureOutcome {
+    if cancel.cancelled() {
+        MeasureOutcome::Skipped
+    } else {
+        MeasureOutcome::from_result(backend.measure(&job.trace, def))
+    }
+}
+
 /// The default backend: the cycle-approximate UPMEM simulator.
 ///
-/// `measure_batch` deduplicates the batch and fans distinct candidates over
-/// a dynamic work queue of `std::thread::scope` workers — candidates vary
-/// wildly in simulation cost (the Fig. 15 spread), so static chunking would
-/// leave workers idle.  Results land in per-candidate slots, making
-/// parallel measurement bit-identical to sequential measurement.
+/// `measure_jobs` fans the batch over a dynamic work queue of
+/// `std::thread::scope` workers — candidates vary wildly in simulation cost
+/// (the Fig. 15 spread), so static chunking would leave workers idle.
+/// Results land in per-job slots, making parallel measurement bit-identical
+/// to sequential measurement.
 #[derive(Debug, Clone)]
 pub struct SimBackend {
     hw: UpmemConfig,
@@ -258,54 +240,23 @@ impl Backend for SimBackend {
         self.runtime.execute(module, inputs)
     }
 
-    fn measure_batch(&self, traces: &[Trace], def: &ComputeDef) -> Vec<Option<f64>> {
-        self.measure_batch_cancellable(traces, def, &Cancellation::none())
-            .into_iter()
-            .map(|outcome| match outcome {
-                MeasureOutcome::Measured(latency) => Some(latency),
-                MeasureOutcome::Failed => None,
-                MeasureOutcome::Skipped => unreachable!("nothing can cancel Cancellation::none()"),
-            })
-            .collect()
-    }
-
-    fn measure_batch_cancellable(
+    fn measure_jobs(
         &self,
-        traces: &[Trace],
+        jobs: &[MeasureJob],
         def: &ComputeDef,
         cancel: &Cancellation,
-    ) -> Vec<MeasureOutcome> {
-        // Distinct traces in first-occurrence order: duplicates within one
-        // batch are simulated once and fanned out to every slot.
-        let mut seen: std::collections::HashMap<&Trace, usize> =
-            std::collections::HashMap::with_capacity(traces.len());
-        let mut unique: Vec<usize> = Vec::new();
-        let mut slot_of: Vec<usize> = Vec::with_capacity(traces.len());
-        for trace in traces {
-            let next_id = unique.len();
-            let id = *seen.entry(trace).or_insert(next_id);
-            if id == next_id {
-                unique.push(slot_of.len());
-            }
-            slot_of.push(id);
-        }
-
+    ) -> Vec<MeasureReport> {
         // Every worker checks the cancellation before claiming the next
-        // candidate, so a wall-clock deadline or a fired token stops the
-        // batch within one in-flight candidate per worker.
-        let measure_one = |slot: usize| {
-            if cancel.cancelled() {
-                MeasureOutcome::Skipped
-            } else {
-                MeasureOutcome::from_result(self.measure(&traces[slot], def))
+        // job, so a wall-clock deadline or a fired token stops the batch
+        // within one in-flight candidate per worker.
+        let workers = self.threads.min(jobs.len());
+        let mut outcomes: Vec<MeasureOutcome> = vec![MeasureOutcome::Skipped; jobs.len()];
+        if workers <= 1 {
+            for (slot, job) in outcomes.iter_mut().zip(jobs) {
+                *slot = measure_job(self, job, def, cancel);
             }
-        };
-        let workers = self.threads.min(unique.len());
-        let fresh: Vec<MeasureOutcome> = if workers <= 1 {
-            unique.iter().map(|&i| measure_one(i)).collect()
         } else {
             let next = AtomicUsize::new(0);
-            let mut results: Vec<MeasureOutcome> = vec![MeasureOutcome::Skipped; unique.len()];
             let chunks: Vec<(usize, MeasureOutcome)> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
@@ -313,8 +264,8 @@ impl Backend for SimBackend {
                             let mut local = Vec::new();
                             loop {
                                 let k = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(&slot) = unique.get(k) else { break };
-                                local.push((k, measure_one(slot)));
+                                let Some(job) = jobs.get(k) else { break };
+                                local.push((k, measure_job(self, job, def, cancel)));
                             }
                             local
                         })
@@ -325,13 +276,14 @@ impl Backend for SimBackend {
                     .flat_map(|h| h.join().expect("measurement worker panicked"))
                     .collect()
             });
-            for (k, result) in chunks {
-                results[k] = result;
+            for (k, outcome) in chunks {
+                outcomes[k] = outcome;
             }
-            results
-        };
-
-        slot_of.into_iter().map(|id| fresh[id]).collect()
+        }
+        jobs.iter()
+            .zip(outcomes)
+            .map(|(job, outcome)| MeasureReport::new(job.id, outcome))
+            .collect()
     }
 }
 
@@ -440,8 +392,19 @@ impl Backend for AnalyticBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atim_autotune::ScheduleConfig;
+    use crate::measure::BackendMeasurer;
+    use atim_autotune::{Measurer, ScheduleConfig};
     use atim_workloads::data::{generate_inputs, results_match};
+
+    /// One batch through the job path, as the tuner sends it.
+    fn measure_all(
+        backend: &dyn Backend,
+        batch: &[Trace],
+        def: &ComputeDef,
+        cancel: &Cancellation,
+    ) -> Vec<MeasureOutcome> {
+        BackendMeasurer::new(backend, def, "upmem", 0).measure(batch, cancel)
+    }
 
     #[test]
     fn sim_backend_parallel_and_sequential_batches_agree() {
@@ -459,10 +422,12 @@ mod tests {
                 .to_trace(&def)
             })
             .collect();
-        assert_eq!(
-            seq.measure_batch(&batch, &def),
-            par.measure_batch(&batch, &def)
-        );
+        let none = Cancellation::none();
+        let sequential = measure_all(&seq, &batch, &def, &none);
+        assert!(sequential
+            .iter()
+            .any(|o| matches!(o, MeasureOutcome::Measured(_))));
+        assert_eq!(sequential, measure_all(&par, &batch, &def, &none));
     }
 
     #[test]
@@ -475,11 +440,16 @@ mod tests {
             ..ScheduleConfig::default_for(&def, backend.hardware())
         }
         .to_trace(&def);
-        let results = backend.measure_batch(&[good.clone(), bad, good], &def);
+        let batch = [good.clone(), bad, good];
+        let results = measure_all(&backend, &batch, &def, &Cancellation::none());
         assert_eq!(results.len(), 3);
-        assert!(results[0].is_some());
-        assert!(results[1].is_none(), "impossible candidate must fail");
-        assert_eq!(results[0], results[2], "duplicates share one simulation");
+        assert!(matches!(results[0], MeasureOutcome::Measured(_)));
+        assert_eq!(
+            results[1],
+            MeasureOutcome::Failed,
+            "impossible candidate must fail"
+        );
+        assert_eq!(results[0], results[2], "duplicates measure identically");
     }
 
     #[test]
@@ -501,14 +471,17 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let cancel = Cancellation::new(Some(token), None);
-        let outcomes = backend.measure_batch_cancellable(&batch, &def, &cancel);
+        let outcomes = measure_all(&backend, &batch, &def, &cancel);
         assert_eq!(outcomes.len(), 4);
         assert!(outcomes.iter().all(|o| *o == MeasureOutcome::Skipped));
-        // No cancellation: every slot measured, matching the plain batch.
-        let free = backend.measure_batch_cancellable(&batch, &def, &Cancellation::none());
-        let plain = backend.measure_batch(&batch, &def);
-        for (outcome, result) in free.iter().zip(plain) {
-            assert_eq!(*outcome, MeasureOutcome::from_result(result));
+        // No cancellation: every slot measured, matching one-at-a-time
+        // measurement.
+        let free = measure_all(&backend, &batch, &def, &Cancellation::none());
+        for (outcome, trace) in free.iter().zip(&batch) {
+            assert_eq!(
+                *outcome,
+                MeasureOutcome::from_result(backend.measure(trace, &def))
+            );
         }
     }
 
@@ -535,10 +508,12 @@ mod tests {
                 .to_trace(&def)
             })
             .collect();
-        assert_eq!(
-            slow.measure_batch(&batch, &def),
-            fast.measure_batch(&batch, &def)
-        );
+        let none = Cancellation::none();
+        let slow_results = measure_all(&slow, &batch, &def, &none);
+        assert!(slow_results
+            .iter()
+            .any(|o| matches!(o, MeasureOutcome::Measured(_))));
+        assert_eq!(slow_results, measure_all(&fast, &batch, &def, &none));
     }
 
     /// The fast-path follow-up from the roadmap: misaligned shapes lower to
@@ -569,9 +544,12 @@ mod tests {
                 .to_trace(&def)
             })
             .collect();
-        let slow_results = slow.measure_batch(&batch, &def);
-        let fast_results = fast.measure_batch(&batch, &def);
-        assert!(slow_results.iter().any(|r| r.is_some()));
+        let none = Cancellation::none();
+        let slow_results = measure_all(&slow, &batch, &def, &none);
+        let fast_results = measure_all(&fast, &batch, &def, &none);
+        assert!(slow_results
+            .iter()
+            .any(|o| matches!(o, MeasureOutcome::Measured(_))));
         assert_eq!(slow_results, fast_results, "fastpath must be bit-identical");
 
         // Without boundary-check hoisting the guards stay in the kernel —

@@ -157,7 +157,7 @@ impl FaultPlan {
     }
 
     /// Whether this plan injects nothing.
-    pub fn is_inert(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         *self == FaultPlan::default()
     }
 
@@ -245,9 +245,9 @@ mod tests {
                 skew_proto: 1,
             }
         );
-        assert!(!plan.is_inert());
-        assert!(FaultPlan::parse("").unwrap().is_inert());
-        assert!(FaultPlan::parse("  ,, ").unwrap().is_inert());
+        assert!(!plan.is_empty());
+        assert!(FaultPlan::parse("").unwrap().is_empty());
+        assert!(FaultPlan::parse("  ,, ").unwrap().is_empty());
     }
 
     #[test]

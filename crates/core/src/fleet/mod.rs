@@ -697,38 +697,6 @@ impl Backend for FleetBackend {
         self.inner.measure(trace, def)
     }
 
-    fn measure_batch(&self, traces: &[Trace], def: &ComputeDef) -> Vec<Option<f64>> {
-        self.measure_batch_cancellable(traces, def, &Cancellation::none())
-            .into_iter()
-            .map(|outcome| match outcome {
-                MeasureOutcome::Measured(latency) => Some(latency),
-                MeasureOutcome::Failed => None,
-                MeasureOutcome::Skipped => unreachable!("nothing can cancel Cancellation::none()"),
-            })
-            .collect()
-    }
-
-    fn measure_batch_cancellable(
-        &self,
-        traces: &[Trace],
-        def: &ComputeDef,
-        cancel: &Cancellation,
-    ) -> Vec<MeasureOutcome> {
-        // Route raw traces through the job form so direct batch callers
-        // get fleet measurement too (seed 0: provenance only).
-        let jobs: Vec<MeasureJob> = traces
-            .iter()
-            .enumerate()
-            .map(|(i, trace)| {
-                MeasureJob::timing_for_def(i as u64, def, self.generator.clone(), 0, trace.clone())
-            })
-            .collect();
-        self.measure_jobs(&jobs, def, cancel)
-            .into_iter()
-            .map(|report| report.outcome)
-            .collect()
-    }
-
     fn measure_jobs(
         &self,
         jobs: &[MeasureJob],
@@ -860,9 +828,11 @@ mod tests {
         .unwrap();
         let inner = AnalyticBackend::new(UpmemConfig::small());
         let trace = ScheduleConfig::default_for(&def, inner.hardware()).to_trace(&def);
+        let job = MeasureJob::timing_for_def(0, &def, "upmem", 0, trace);
+        let none = Cancellation::none();
         assert_eq!(
-            fleet.measure_batch(std::slice::from_ref(&trace), &def),
-            inner.measure_batch(&[trace], &def)
+            fleet.measure_jobs(std::slice::from_ref(&job), &def, &none),
+            inner.measure_jobs(&[job], &def, &none)
         );
         assert_eq!(fleet.stats(), FleetStats::default());
         assert_eq!(fleet.fingerprint(), inner.fingerprint());

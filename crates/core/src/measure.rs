@@ -1,32 +1,21 @@
-//! Bridging [`Backend`]s into the autotuner's measurement interface.
+//! Bridging [`Backend`]s into the autotuner's measurement contract.
 //!
 //! The tuning loop's cost is dominated by measurements (the paper performs
-//! ~1000 per workload).  [`BackendMeasurer`] adapts a [`Backend`] to the
-//! [`BatchMeasurer`] trait the tuner drives, adding the two optimizations
-//! every backend benefits from:
+//! ~1000 per workload).  [`BackendMeasurer`] is the adapter between the two
+//! halves of the one batch path: it stamps each trace of a round into a
+//! routable [`MeasureJob`], hands the batch to [`Backend::measure_jobs`] and
+//! returns the slot-aligned outcomes as an [`atim_autotune::Measurer`].
 //!
-//! * **In-batch deduplication** — duplicates within one round resolve to a
-//!   single backend measurement.
-//! * **Cross-round memoization** — a `(config) → latency` memo persists
-//!   across rounds: the evolutionary search can re-propose a configuration
-//!   whose measurement previously *failed* (successes are deduplicated by
-//!   the candidate database), and repeated runs over the same measurer
-//!   instance skip re-measurement entirely.
-//!
-//! Parallelism lives *below* this layer, in
-//! [`crate::backend::SimBackend::measure_batch`]: results land in
-//! per-candidate slots, so the tuner observes the same latencies in the
-//! same order as a sequential measurer would — tuning with the parallel
-//! backend is bit-identical to tuning sequentially
+//! Memoization and in-batch deduplication live *above* this layer, in
+//! [`atim_autotune::MemoMeasurer`] (which [`crate::Session`] wraps around
+//! the adapter); parallelism lives *below* it, in `measure_jobs` itself:
+//! results land in per-job slots, so the tuner observes the same latencies
+//! in the same order as a sequential measurer would — tuning with the
+//! parallel backend is bit-identical to tuning sequentially
 //! (`parallel_tuning_is_deterministic_and_matches_sequential` in
 //! `crate::session`'s tests pins this for a whole tuning run).
 
-use std::collections::HashMap;
-
-use atim_autotune::{
-    BatchMeasurer, Cancellation, MeasureJob, MeasureOutcome, Trace, TuningOptions,
-    UpmemSketchGenerator,
-};
+use atim_autotune::{Cancellation, MeasureJob, MeasureOutcome, Measurer, Trace};
 use atim_tir::compute::ComputeDef;
 
 use crate::backend::Backend;
@@ -69,37 +58,22 @@ pub fn default_measure_threads() -> usize {
     }
 }
 
-/// A [`BatchMeasurer`] over a [`Backend`], with in-batch deduplication and
-/// a cross-round memoization cache, both keyed on trace identity (sketch +
-/// decision list).
+/// A [`Measurer`] over a [`Backend`]: every batch round-trips through the
+/// serializable job form, which an in-process backend unwraps again (free)
+/// and a routing backend (the fleet) forwards to a worker.
 pub struct BackendMeasurer<'a> {
     backend: &'a dyn Backend,
     def: &'a ComputeDef,
     generator: String,
     seed: u64,
-    cache: HashMap<Trace, Option<f64>>,
-    cache_hits: usize,
 }
 
 impl<'a> BackendMeasurer<'a> {
-    /// Creates a measurer for one workload on one backend, stamping every
-    /// job with the default generator id and seed.  Prefer
-    /// [`BackendMeasurer::with_context`] when the session knows better (a
-    /// custom generator, the actual tuning seed) — a routing backend uses
-    /// that context to decide whether a worker can reproduce the
-    /// measurement.
-    pub fn new(backend: &'a dyn Backend, def: &'a ComputeDef) -> Self {
-        Self::with_context(
-            backend,
-            def,
-            atim_autotune::SpaceGenerator::name(&UpmemSketchGenerator),
-            TuningOptions::default().seed,
-        )
-    }
-
-    /// Creates a measurer that stamps each [`MeasureJob`] with the search's
-    /// generator id and seed.
-    pub fn with_context(
+    /// Creates a measurer for one workload on one backend that stamps each
+    /// [`MeasureJob`] with the search's generator id and seed — a routing
+    /// backend uses that context to decide whether a worker can reproduce
+    /// the measurement.
+    pub fn new(
         backend: &'a dyn Backend,
         def: &'a ComputeDef,
         generator: impl Into<String>,
@@ -110,113 +84,40 @@ impl<'a> BackendMeasurer<'a> {
             def,
             generator: generator.into(),
             seed,
-            cache: HashMap::new(),
-            cache_hits: 0,
         }
-    }
-
-    /// Number of distinct traces measured so far.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Number of measurements answered from the memo instead of the
-    /// backend.
-    pub fn cache_hits(&self) -> usize {
-        self.cache_hits
     }
 }
 
-impl BatchMeasurer for BackendMeasurer<'_> {
-    fn measure_batch(&mut self, traces: &[Trace]) -> Vec<Option<f64>> {
-        // One implementation: the cancellable path with a condition that
-        // never triggers (so `Skipped` is impossible).
-        self.measure_batch_cancellable(traces, &Cancellation::none())
-            .into_iter()
-            .map(|outcome| match outcome {
-                MeasureOutcome::Measured(latency) => Some(latency),
-                MeasureOutcome::Failed => None,
-                MeasureOutcome::Skipped => unreachable!("nothing can cancel Cancellation::none()"),
-            })
-            .collect()
-    }
-
-    fn measure_batch_cancellable(
-        &mut self,
-        traces: &[Trace],
-        cancel: &Cancellation,
-    ) -> Vec<MeasureOutcome> {
-        // Memo answers are free and always honored; only candidates that
-        // need the backend respect the cancellation.
-        let mut out: Vec<Option<MeasureOutcome>> = traces
+impl Measurer for BackendMeasurer<'_> {
+    fn measure(&mut self, traces: &[Trace], cancel: &Cancellation) -> Vec<MeasureOutcome> {
+        let jobs: Vec<MeasureJob> = traces
             .iter()
-            .map(|c| self.cache.get(c).map(|r| MeasureOutcome::from_result(*r)))
+            .enumerate()
+            .map(|(slot, trace)| {
+                MeasureJob::timing_for_def(
+                    slot as u64,
+                    self.def,
+                    self.generator.clone(),
+                    self.seed,
+                    trace.clone(),
+                )
+            })
             .collect();
-        self.cache_hits += out.iter().filter(|r| r.is_some()).count();
-
-        let mut seen: std::collections::HashSet<&Trace> =
-            std::collections::HashSet::with_capacity(traces.len());
-        let mut unique: Vec<usize> = Vec::new();
-        for (i, trace) in traces.iter().enumerate() {
-            if out[i].is_none() && seen.insert(trace) {
-                unique.push(i);
-            }
-        }
-
-        if !unique.is_empty() {
-            // Every backend round-trips through the serializable job form:
-            // in-process backends unwrap the trace again (free), while a
-            // routing backend (the fleet) forwards the job to a worker.
-            let jobs: Vec<MeasureJob> = unique
-                .iter()
-                .enumerate()
-                .map(|(k, &i)| {
-                    MeasureJob::timing_for_def(
-                        k as u64,
-                        self.def,
-                        self.generator.clone(),
-                        self.seed,
-                        traces[i].clone(),
-                    )
-                })
-                .collect();
-            let reports = self.backend.measure_jobs(&jobs, self.def, cancel);
-            assert_eq!(
-                reports.len(),
-                jobs.len(),
-                "Backend::measure_jobs must return one report per job"
-            );
-            for (k, (&slot, report)) in unique.iter().zip(reports).enumerate() {
+        let reports = self.backend.measure_jobs(&jobs, self.def, cancel);
+        assert_eq!(
+            reports.len(),
+            jobs.len(),
+            "Backend::measure_jobs must return one report per job"
+        );
+        reports
+            .into_iter()
+            .enumerate()
+            .map(|(slot, report)| {
                 assert_eq!(
-                    report.id, k as u64,
+                    report.id, slot as u64,
                     "Backend::measure_jobs must echo job ids in input order"
                 );
-                match report.outcome {
-                    MeasureOutcome::Measured(latency) => {
-                        self.cache.insert(traces[slot].clone(), Some(latency));
-                    }
-                    MeasureOutcome::Failed => {
-                        self.cache.insert(traces[slot].clone(), None);
-                    }
-                    // Skipped candidates stay uncached so a later round can
-                    // measure them for real.
-                    MeasureOutcome::Skipped => {}
-                }
-                out[slot] = Some(report.outcome);
-            }
-        }
-
-        // In-batch duplicates follow their representative (or are skipped
-        // alongside it).
-        out.iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.or_else(|| {
-                    self.cache
-                        .get(&traces[i])
-                        .map(|c| MeasureOutcome::from_result(*c))
-                })
-                .unwrap_or(MeasureOutcome::Skipped)
+                report.outcome
             })
             .collect()
     }
@@ -231,7 +132,7 @@ mod tests {
 
     #[test]
     fn batches_fill_every_slot_in_candidate_order() {
-        use atim_autotune::ScheduleConfig;
+        use atim_autotune::{MemoMeasurer, ScheduleConfig};
         let backend = SimBackend::with_threads(UpmemConfig::small(), CompileOptions::default(), 3);
         let def = ComputeDef::mtv("mtv", 64, 48);
         let good_cfg = ScheduleConfig::default_for(&def, backend.hardware());
@@ -242,18 +143,26 @@ mod tests {
         }
         .to_trace(&def);
         let batch = vec![good.clone(), bad.clone(), good.clone()];
-        let mut measurer = BackendMeasurer::new(&backend, &def);
-        let results = measurer.measure_batch(&batch);
+        let mut adapter = BackendMeasurer::new(&backend, &def, "upmem", 0);
+        let mut measurer = MemoMeasurer::new(&mut adapter);
+        let results = measurer.measure(&batch, &Cancellation::none());
         assert_eq!(results.len(), 3);
-        assert!(results[0].is_some());
-        assert!(results[1].is_none(), "impossible candidate must fail");
+        assert!(matches!(results[0], MeasureOutcome::Measured(_)));
+        assert_eq!(
+            results[1],
+            MeasureOutcome::Failed,
+            "impossible candidate must fail"
+        );
         assert_eq!(results[0], results[2]);
-        // Both distinct configs (including the failure) are memoized.
+        // Both distinct configs (including the failure) are memoized, and
+        // the duplicate never reached the backend.
         assert_eq!(measurer.cache_len(), 2);
+        assert_eq!(measurer.fresh(), 2);
         let hits_before = measurer.cache_hits();
-        let again = measurer.measure_batch(&batch);
+        let again = measurer.measure(&batch, &Cancellation::none());
         assert_eq!(again, results);
         assert_eq!(measurer.cache_hits(), hits_before + 3);
+        assert_eq!(measurer.replayed(), 0, "nothing was seeded from a log");
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //!   cache file with your program (`ATIM_SCHEDULE_CACHE`) and cold start
 //!   becomes a lookup.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -31,8 +32,8 @@ use std::sync::{Arc, Mutex};
 use atim_autotune::log::TuneLog;
 use atim_autotune::session::{Budget, NullObserver, TuningError, TuningObserver, TuningSession};
 use atim_autotune::{
-    CacheEntry, CacheKey, CostModelKind, ScheduleCache, ScheduleConfig, SpaceGenerator, Trace,
-    TuningOptions, TuningResult, UpmemSketchGenerator, WarmStartMeasurer,
+    CacheEntry, CacheKey, CostModelKind, MemoMeasurer, ScheduleCache, ScheduleConfig,
+    SpaceGenerator, Trace, TuningOptions, TuningResult, UpmemSketchGenerator,
 };
 use atim_model::GbdtModel;
 use atim_sim::{ExecutionReport, UpmemConfig};
@@ -576,7 +577,7 @@ impl Session {
     /// candidate).
     ///
     /// Measurement goes through the session's backend one round-sized batch
-    /// at a time, with a cross-round `(config) → latency` memo, so
+    /// of jobs at a time, behind a cross-round `trace → latency` memo, so
     /// re-proposed candidates never re-measure.
     ///
     /// # Errors
@@ -588,12 +589,7 @@ impl Session {
         budget: &Budget,
         observer: &mut dyn TuningObserver,
     ) -> Result<TunedModule, TuningError> {
-        let mut session = self.tuning_session(def, options)?;
-        let mut measurer =
-            BackendMeasurer::with_context(self.backend(), def, self.generator.name(), options.seed);
-        let result = session.run(&mut measurer, budget, observer);
-        self.record_best(def, options.seed, &result);
-        Ok(TunedModule::new(def.clone(), result, self.hardware()))
+        self.search(def, options, HashMap::new(), budget, observer)
     }
 
     /// Runs the autotuning flow warm-started from a [`TuneLog`]: every
@@ -612,10 +608,24 @@ impl Session {
         budget: &Budget,
         observer: &mut dyn TuningObserver,
     ) -> Result<TunedModule, TuningError> {
+        self.search(def, options, log.memo(), budget, observer)
+    }
+
+    /// One search: the backend adapter behind the memo/dedup layer (seeded
+    /// with `known` measurements), driven by a fresh [`TuningSession`]; the
+    /// win is recorded into the attached cache.
+    fn search(
+        &self,
+        def: &ComputeDef,
+        options: &TuningOptions,
+        known: HashMap<Trace, f64>,
+        budget: &Budget,
+        observer: &mut dyn TuningObserver,
+    ) -> Result<TunedModule, TuningError> {
         let mut session = self.tuning_session(def, options)?;
-        let mut inner =
-            BackendMeasurer::with_context(self.backend(), def, self.generator.name(), options.seed);
-        let mut measurer = WarmStartMeasurer::new(log, &mut inner);
+        let mut backend =
+            BackendMeasurer::new(self.backend(), def, self.generator.name(), options.seed);
+        let mut measurer = MemoMeasurer::seeded(&mut backend, known);
         let result = session.run(&mut measurer, budget, observer);
         self.record_best(def, options.seed, &result);
         Ok(TunedModule::new(def.clone(), result, self.hardware()))

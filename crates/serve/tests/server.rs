@@ -5,8 +5,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use atim_autotune::tuner::{Cancellation, MeasureOutcome};
-use atim_autotune::Trace;
+use atim_autotune::{Cancellation, MeasureJob, MeasureOutcome, MeasureReport, Trace};
 use atim_core::{AnalyticBackend, Backend, CompileOptions, CompiledModule, Session};
 use atim_serve::{serve, Client, ServeOptions, TuneRequest};
 use atim_sim::{ExecutionReport, UpmemConfig};
@@ -15,11 +14,12 @@ use atim_tir::error::Result as TirResult;
 
 /// Delegates to the analytic backend, but blocks every measurement batch
 /// until the test opens the gate — so a search stays reliably in flight
-/// while concurrent duplicate requests pile up behind it.
+/// while concurrent duplicate requests pile up behind it — and counts the
+/// jobs it answered with a latency.
 struct GatedBackend {
     inner: AnalyticBackend,
     open: AtomicBool,
-    batches: AtomicUsize,
+    measured_jobs: AtomicUsize,
 }
 
 impl GatedBackend {
@@ -27,7 +27,7 @@ impl GatedBackend {
         Arc::new(GatedBackend {
             inner: AnalyticBackend::new(UpmemConfig::default()),
             open: AtomicBool::new(false),
-            batches: AtomicUsize::new(0),
+            measured_jobs: AtomicUsize::new(0),
         })
     }
 
@@ -71,20 +71,20 @@ impl Backend for GatedBackend {
         self.wait_for_gate();
         self.inner.measure(trace, def)
     }
-    fn measure_batch(&self, traces: &[Trace], def: &ComputeDef) -> Vec<Option<f64>> {
-        self.wait_for_gate();
-        self.batches.fetch_add(1, Ordering::SeqCst);
-        self.inner.measure_batch(traces, def)
-    }
-    fn measure_batch_cancellable(
+    fn measure_jobs(
         &self,
-        traces: &[Trace],
+        jobs: &[MeasureJob],
         def: &ComputeDef,
         cancel: &Cancellation,
-    ) -> Vec<MeasureOutcome> {
+    ) -> Vec<MeasureReport> {
         self.wait_for_gate();
-        self.batches.fetch_add(1, Ordering::SeqCst);
-        self.inner.measure_batch_cancellable(traces, def, cancel)
+        let reports = self.inner.measure_jobs(jobs, def, cancel);
+        let measured = reports
+            .iter()
+            .filter(|r| matches!(r.outcome, MeasureOutcome::Measured(_)))
+            .count();
+        self.measured_jobs.fetch_add(measured, Ordering::SeqCst);
+        reports
     }
 }
 
@@ -141,6 +141,13 @@ fn concurrent_duplicate_requests_tune_once_and_all_get_the_result() {
 
     let first = &replies[0];
     assert!(first.measured > 0);
+    // The one shared search sent each recorded trial to the backend exactly
+    // once — the duplicates caused no measurements of their own.
+    assert_eq!(
+        backend.measured_jobs.load(Ordering::SeqCst),
+        first.measured,
+        "jobs the backend measured must equal the single search's trials"
+    );
     for reply in &replies {
         assert!(!reply.cache_hit);
         assert_eq!(reply.trace, first.trace, "all clients get the same trace");

@@ -11,9 +11,11 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use atim_autotune::{CancelToken, Cancellation, MeasureOutcome, ScheduleConfig, TuningOptions};
+use atim_autotune::{
+    CancelToken, Cancellation, MeasureOutcome, Measurer, ScheduleConfig, TuningOptions,
+};
 use atim_core::fleet::{BackendSpec, FleetBackend, FleetOptions};
-use atim_core::{Backend, Session};
+use atim_core::{Backend, BackendMeasurer, Session};
 use atim_sim::UpmemConfig;
 use atim_tir::compute::ComputeDef;
 use atim_workloads::{Workload, WorkloadKind};
@@ -260,7 +262,7 @@ fn fleet_batches_respect_cancellation() {
     let token = CancelToken::new();
     token.cancel();
     let cancel = Cancellation::new(Some(token), None);
-    let outcomes = fleet.measure_batch_cancellable(&batch, &def, &cancel);
+    let outcomes = BackendMeasurer::new(&fleet, &def, "upmem", 0).measure(&batch, &cancel);
     assert!(outcomes.iter().all(|o| *o == MeasureOutcome::Skipped));
     assert_eq!(fleet.stats().jobs_requeued, 0);
 }

@@ -14,11 +14,16 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use atim_autotune::{ScheduleConfig, TuningOptions};
+use atim_autotune::{Cancellation, MeasureOutcome, Measurer, ScheduleConfig, Trace, TuningOptions};
 use atim_core::fleet::{BackendSpec, FleetBackend, FleetOptions, FAULTS_ENV};
-use atim_core::{Backend, Session};
+use atim_core::{Backend, BackendMeasurer, Session};
 use atim_sim::UpmemConfig;
 use atim_tir::compute::ComputeDef;
+
+/// One batch through the job path, exactly as the tuner sends it.
+fn measure_all(backend: &dyn Backend, batch: &[Trace], def: &ComputeDef) -> Vec<MeasureOutcome> {
+    BackendMeasurer::new(backend, def, "upmem", 0).measure(batch, &Cancellation::none())
+}
 
 /// Fleet address handoff for `--connect`-style children (spawn mode).
 const CONNECT_ENV: &str = "ATIM_CHAOS_CONNECT";
@@ -202,8 +207,8 @@ fn a_poison_job_is_quarantined_after_killing_k_workers() {
             .to_trace(&def)
         })
         .collect();
-    let outcomes = fleet.measure_batch(&batch, &def);
-    let expected = spec().build().measure_batch(&batch, &def);
+    let outcomes = measure_all(&fleet, &batch, &def);
+    let expected = measure_all(&*spec().build(), &batch, &def);
     assert_eq!(
         outcomes, expected,
         "quarantine must fall back to ground truth"
@@ -294,10 +299,10 @@ fn attached_worker_handshake_skew_heals_on_reconnect() {
                 .to_trace(&def)
             })
             .collect();
-        let outcomes = fleet.measure_batch(&batch, &def);
+        let outcomes = measure_all(&fleet, &batch, &def);
         assert_eq!(
             outcomes,
-            spec().build().measure_batch(&batch, &def),
+            measure_all(&*spec().build(), &batch, &def),
             "{faults}: healed measurement must stay bit-identical"
         );
 
@@ -346,8 +351,8 @@ fn a_sigkilled_attached_worker_restarted_on_the_same_port_rehandshakes() {
             .to_trace(&def)
         })
         .collect();
-    let expected = spec().build().measure_batch(&batch, &def);
-    assert_eq!(fleet.measure_batch(&batch, &def), expected);
+    let expected = measure_all(&*spec().build(), &batch, &def);
+    assert_eq!(measure_all(&fleet, &batch, &def), expected);
     assert_eq!(fleet.stats().reconnects, 0);
 
     // SIGKILL the worker, then restart it on the same port.
@@ -356,7 +361,7 @@ fn a_sigkilled_attached_worker_restarted_on_the_same_port_rehandshakes() {
     let _replacement = spawn_listen_child(addr, None);
 
     assert_eq!(
-        fleet.measure_batch(&batch, &def),
+        measure_all(&fleet, &batch, &def),
         expected,
         "results must be bit-identical across the restart"
     );

@@ -7,8 +7,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use atim_autotune::log::TuneLog;
-use atim_autotune::tuner::{Cancellation, MeasureOutcome};
-use atim_autotune::{Trace, TuningOptions};
+use atim_autotune::session::{Budget, NullObserver};
+use atim_autotune::{Cancellation, MeasureJob, MeasureReport, Trace, TuningOptions};
 use atim_core::{AnalyticBackend, Backend, CompileOptions, CompiledModule, ExecutedRun, Session};
 use atim_sim::{ExecutionReport, UpmemConfig};
 use atim_tir::compute::ComputeDef;
@@ -57,18 +57,14 @@ impl Backend for CountingBackend {
         self.measurements.fetch_add(1, Ordering::SeqCst);
         self.inner.measure(trace, def)
     }
-    fn measure_batch(&self, traces: &[Trace], def: &ComputeDef) -> Vec<Option<f64>> {
-        self.measurements.fetch_add(traces.len(), Ordering::SeqCst);
-        self.inner.measure_batch(traces, def)
-    }
-    fn measure_batch_cancellable(
+    fn measure_jobs(
         &self,
-        traces: &[Trace],
+        jobs: &[MeasureJob],
         def: &ComputeDef,
         cancel: &Cancellation,
-    ) -> Vec<MeasureOutcome> {
-        self.measurements.fetch_add(traces.len(), Ordering::SeqCst);
-        self.inner.measure_batch_cancellable(traces, def, cancel)
+    ) -> Vec<MeasureReport> {
+        self.measurements.fetch_add(jobs.len(), Ordering::SeqCst);
+        self.inner.measure_jobs(jobs, def, cancel)
     }
 }
 
@@ -96,15 +92,42 @@ fn cache_resolution_is_bit_identical_to_tune_log_replay_per_workload() {
 
         // Tune once, persisting both artifacts a fleet would ship: the
         // schedule cache entry and the full tune log.
-        let tuned = Session::builder()
-            .backend(AnalyticBackend::new(UpmemConfig::default()))
+        let tuning_backend = CountingBackend::new();
+        let tuning = Session::builder()
+            .backend_arc(tuning_backend.clone())
             .schedule_cache(&path)
-            .build()
-            .tune(&def, &options)
-            .unwrap();
+            .build();
+        let tuned = tuning.tune(&def, &options).unwrap();
         assert!(tuned.measured() > 0, "{kind}: the search must measure");
+        // A miss sends every recorded trial to the backend exactly once: no
+        // second measurement path hides behind the job batch.
+        assert_eq!(
+            tuning_backend.measurements(),
+            tuned.measured() + tuned.failed(),
+            "{kind}: jobs seen by the backend must equal the recorded trials"
+        );
         let log = TuneLog::new(&def.name, options.seed, tuned.result().clone());
         let log = TuneLog::from_json_str(&log.to_json_string()).unwrap();
+
+        // A warm start over the run's full log re-drives the trajectory from
+        // the memo: only the candidates the log cannot answer (the failures
+        // it does not record — none, when nothing failed) are sent again.
+        let jobs_before_warm = tuning_backend.measurements();
+        let warm = tuning
+            .tune_warm(
+                &def,
+                &options,
+                &log,
+                &Budget::unlimited(),
+                &mut NullObserver,
+            )
+            .unwrap();
+        assert_eq!(warm.history(), tuned.history());
+        assert_eq!(
+            tuning_backend.measurements() - jobs_before_warm,
+            tuned.failed(),
+            "{kind}: a full-log warm start must send zero jobs for logged trials"
+        );
 
         // A fresh session resolves the cache with zero backend activity.
         let backend = CountingBackend::new();

@@ -16,7 +16,7 @@
 
 use atim_autotune::log::TuneLog;
 use atim_autotune::session::{Budget, NullObserver, TuningSession};
-use atim_autotune::{ScheduleConfig, SequentialMeasurer, Trace, TuningOptions, WarmStartMeasurer};
+use atim_autotune::{MemoMeasurer, ScheduleConfig, Trace, TuningOptions};
 use atim_core::prelude::*;
 
 fn fixture(name: &str) -> String {
@@ -117,8 +117,7 @@ fn v1_fixtures_warm_start_to_the_committed_full_search() {
         let prefix = TuneLog::from_json_str(&fixture(name)).expect("prefix fixture");
         let mut session = TuningSession::new(&def, &hw, &options).unwrap();
         let mut measure = |t: &Trace| fixture_latency(&def, t);
-        let mut seq = SequentialMeasurer::new(&mut measure);
-        let mut warm = WarmStartMeasurer::new(&prefix, &mut seq);
+        let mut warm = MemoMeasurer::seeded(&mut measure, prefix.memo());
         let resumed = session.run(&mut warm, &Budget::unlimited(), &mut NullObserver);
 
         assert_eq!(resumed.measured, 32, "{name}: resumed to the full budget");
@@ -160,10 +159,9 @@ fn regenerate_v1_fixtures() {
     let hw = UpmemConfig::default();
     let mut session = TuningSession::new(&def, &hw, &options).unwrap();
     let mut measure = |t: &Trace| fixture_latency(&def, t);
-    let mut seq = SequentialMeasurer::new(&mut measure);
-    let prefix = session.run(&mut seq, &Budget::trials(16), &mut NullObserver);
+    let prefix = session.run(&mut measure, &Budget::trials(16), &mut NullObserver);
     assert_eq!(prefix.measured, 16, "the prefix fixture holds 16 trials");
-    let full = session.run(&mut seq, &Budget::unlimited(), &mut NullObserver);
+    let full = session.run(&mut measure, &Budget::unlimited(), &mut NullObserver);
     assert_eq!(full.measured, 32, "the full fixture holds 32 trials");
 
     let v1_record = |r: &TuningRecord| -> Json {
