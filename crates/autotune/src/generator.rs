@@ -124,10 +124,10 @@ pub trait SpaceGenerator: Send + Sync {
 
 /// The default generator: ATiM's UPMEM sketch (Fig. 6) as traces.
 ///
-/// Sampling and mutation share the decision-distribution code of the
-/// original `SearchSpace` bit-for-bit (same RNG consumption, same ranges),
-/// so a fixed seed drives the identical search trajectory the pre-trace
-/// tuner drove — pinned by `tests/trace_equivalence.rs`.
+/// Sampling and mutation draw from the pre-trace tuner's knob
+/// distributions bit-for-bit (same RNG consumption, same ranges), so a
+/// fixed seed drives the identical search trajectory the pre-trace tuner
+/// drove — pinned by `tests/trace_equivalence.rs`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UpmemSketchGenerator;
 

@@ -128,8 +128,6 @@ pub use sketch::{
     HW_NATIVE_SKETCH, RESIDENT_GENERATOR_IDS, SPACE_GENERATOR_ENV, TILED_SKETCH,
 };
 pub use space::ScheduleConfig;
-#[allow(deprecated)]
-pub use space::SearchSpace;
 pub use trace::{Decision, Instruction, Trace};
 pub use tuner::{
     tune, CancelToken, Cancellation, MeasureOutcome, Measurer, MemoMeasurer, TuningOptions,

@@ -12,13 +12,15 @@
 
 use atim_sim::UpmemConfig;
 use atim_tir::compute::ComputeDef;
-use atim_tir::error::Result;
+use atim_tir::error::{Result, TirError};
 use atim_tir::schedule::{Binding, LoopRef};
+use rand::rngs::StdRng;
+use rand::Rng;
 
 use crate::generator::{div_ceil, site, SketchRecorder};
 use crate::trace::{Instruction, Trace};
 
-use super::Decider;
+use super::{Decider, MutateDecider, ReplayDecider, SampleDecider};
 
 /// One declarative structural move of a sketch space.
 ///
@@ -106,6 +108,59 @@ impl RuleSet {
             }
         }
         Ok(e.finish(self.tag))
+    }
+
+    /// A random trace of this space (the `SpaceGenerator::sample` of every
+    /// rule-built generator): each site drawn from its sampling
+    /// distribution, the `rfactor` subspace forced by `with_rfactor`.
+    pub fn sample(
+        &self,
+        rng: &mut StdRng,
+        def: &ComputeDef,
+        hw: &UpmemConfig,
+        with_rfactor: bool,
+    ) -> Trace {
+        let mut d = SampleDecider::new(rng, Some(with_rfactor));
+        self.elaborate(def, hw, &mut d)
+            .unwrap_or_else(|_| Trace::new(self.tag, Vec::new(), 0))
+    }
+
+    /// `base` with one uniformly chosen decision site re-drawn (the
+    /// `SpaceGenerator::mutate` of every rule-built generator).
+    pub fn mutate(
+        &self,
+        rng: &mut StdRng,
+        def: &ComputeDef,
+        hw: &UpmemConfig,
+        base: &Trace,
+    ) -> Trace {
+        let sites = base.decisions().count();
+        if base.sketch() != self.tag || sites == 0 {
+            // Foreign (or empty) traces restart from a fresh sample in the
+            // matching design subspace.
+            return self.sample(rng, def, hw, base.uses_rfactor());
+        }
+        let target = rng.gen_range(0..sites);
+        let mut d = MutateDecider::new(rng, base, target);
+        self.elaborate(def, hw, &mut d)
+            .unwrap_or_else(|_| base.clone())
+    }
+
+    /// Re-elaborates a trace of this space from its own decisions (the
+    /// `SpaceGenerator::materialize` of every rule-built generator).
+    ///
+    /// # Errors
+    /// Rejects traces tagged with another sketch family, and propagates
+    /// elaboration errors.
+    pub fn materialize(&self, trace: &Trace, def: &ComputeDef, hw: &UpmemConfig) -> Result<Trace> {
+        if trace.sketch() != self.tag {
+            return Err(TirError::InvalidSchedule(format!(
+                "trace carries sketch {:?}; the {:?} generator cannot materialize it",
+                trace.sketch(),
+                self.tag
+            )));
+        }
+        self.elaborate(def, hw, &mut ReplayDecider::new(trace))
     }
 }
 

@@ -3,15 +3,14 @@
 
 use atim_sim::UpmemConfig;
 use atim_tir::compute::ComputeDef;
-use atim_tir::error::{Result, TirError};
+use atim_tir::error::Result;
 use rand::rngs::StdRng;
-use rand::Rng;
 
 use crate::generator::{site, SpaceGenerator};
 use crate::trace::{Decision, Trace};
 
 use super::rules::{RuleSet, SketchRule};
-use super::{DefaultDecider, MutateDecider, OverlayDecider, ReplayDecider, SampleDecider};
+use super::{DefaultDecider, OverlayDecider};
 
 /// Sketch tag (and generator id) of [`TiledSketchGenerator`] traces.
 pub const TILED_SKETCH: &str = "tiled";
@@ -89,36 +88,15 @@ impl SpaceGenerator for TiledSketchGenerator {
         hw: &UpmemConfig,
         with_rfactor: bool,
     ) -> Trace {
-        let mut d = SampleDecider::new(rng, Some(with_rfactor));
-        self.rules
-            .elaborate(def, hw, &mut d)
-            .unwrap_or_else(|_| Trace::new(self.rules.tag, Vec::new(), 0))
+        self.rules.sample(rng, def, hw, with_rfactor)
     }
 
     fn mutate(&self, rng: &mut StdRng, def: &ComputeDef, hw: &UpmemConfig, base: &Trace) -> Trace {
-        let sites = base.decisions().count();
-        if base.sketch() != self.rules.tag || sites == 0 {
-            // Foreign (or empty) traces restart from a fresh sample in the
-            // matching design subspace.
-            return self.sample(rng, def, hw, base.uses_rfactor());
-        }
-        let target = rng.gen_range(0..sites);
-        let mut d = MutateDecider::new(rng, base, target);
-        self.rules
-            .elaborate(def, hw, &mut d)
-            .unwrap_or_else(|_| base.clone())
+        self.rules.mutate(rng, def, hw, base)
     }
 
     fn materialize(&self, trace: &Trace, def: &ComputeDef, hw: &UpmemConfig) -> Result<Trace> {
-        if trace.sketch() != self.rules.tag {
-            return Err(TirError::InvalidSchedule(format!(
-                "trace carries sketch {:?}; the {:?} generator cannot materialize it",
-                trace.sketch(),
-                self.rules.tag
-            )));
-        }
-        let mut d = ReplayDecider::new(trace);
-        self.rules.elaborate(def, hw, &mut d)
+        self.rules.materialize(trace, def, hw)
     }
 }
 

@@ -293,69 +293,10 @@ fn div_ceil(a: i64, b: i64) -> i64 {
     (a + b - 1) / b
 }
 
-/// The sampling ranges of the design space for one workload on one machine.
-///
-/// The trace pipeline samples through
-/// [`crate::generator::UpmemSketchGenerator`], which wraps this type's
-/// `sample`/`mutate` verbatim — same RNG consumption, same decision
-/// distributions — so fixed-seed searches are bit-identical across the
-/// migration.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `generator::UpmemSketchGenerator` (a `SpaceGenerator`) — this type \
-            remains as its decision-distribution backend"
-)]
-#[derive(Debug, Clone)]
-pub struct SearchSpace {
-    def: ComputeDef,
-    total_dpus: i64,
-    max_tasklets: i64,
-}
-
-#[allow(deprecated)]
-impl SearchSpace {
-    /// Builds the design space for a workload.
-    pub fn new(def: &ComputeDef, hw: &UpmemConfig) -> Self {
-        SearchSpace {
-            def: def.clone(),
-            total_dpus: hw.total_dpus() as i64,
-            max_tasklets: hw.max_tasklets as i64,
-        }
-    }
-
-    /// The workload this space was built for.
-    pub fn def(&self) -> &ComputeDef {
-        &self.def
-    }
-
-    /// Whether the workload has a reduction axis at all (if not, the
-    /// `rfactor` design space is empty).
-    pub fn supports_rfactor(&self) -> bool {
-        self.def.has_reduce()
-    }
-
-    /// Samples a random configuration, optionally forcing the
-    /// `rfactor`/non-`rfactor` design space (the two sketches of Fig. 6).
-    pub fn sample(&self, rng: &mut impl Rng, with_rfactor: bool) -> ScheduleConfig {
-        sample_knobs(
-            &self.def,
-            self.total_dpus,
-            self.max_tasklets,
-            rng,
-            with_rfactor,
-        )
-    }
-
-    /// Mutates one decision of a configuration (the evolutionary search's
-    /// mutation operator).
-    pub fn mutate(&self, rng: &mut impl Rng, base: &ScheduleConfig) -> ScheduleConfig {
-        mutate_knobs(&self.def, self.total_dpus, self.max_tasklets, rng, base)
-    }
-}
-
-/// Samples a random knob vector for a *borrowed* workload (the body behind
-/// [`SearchSpace::sample`], shared with the trace generator so the
-/// per-candidate hot path clones nothing).
+/// Samples a random knob vector, optionally forcing the
+/// `rfactor`/non-`rfactor` design space (the two sketches of Fig. 6) — the
+/// decision distributions behind
+/// [`crate::generator::UpmemSketchGenerator`]'s `sample`.
 pub(crate) fn sample_knobs(
     def: &ComputeDef,
     total_dpus: i64,
@@ -397,8 +338,8 @@ pub(crate) fn sample_knobs(
     }
 }
 
-/// Mutates one knob of a configuration (the body behind
-/// [`SearchSpace::mutate`], shared with the trace generator).
+/// Mutates one knob of a configuration (the evolutionary search's mutation
+/// operator behind [`crate::generator::UpmemSketchGenerator`]'s `mutate`).
 pub(crate) fn mutate_knobs(
     def: &ComputeDef,
     total_dpus: i64,
@@ -452,12 +393,20 @@ fn log2_floor(v: i64) -> u32 {
 #[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::generator::{SpaceGenerator, UpmemSketchGenerator};
     use atim_tir::schedule::execute_functional;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn hw() -> UpmemConfig {
         UpmemConfig::default()
+    }
+
+    /// The knob vector the default generator samples (the raw, unclamped
+    /// `sample_knobs` draw, read back out of its trace).
+    fn sample(rng: &mut StdRng, def: &ComputeDef, with_rfactor: bool) -> ScheduleConfig {
+        let trace = UpmemSketchGenerator.sample(rng, def, &hw(), with_rfactor);
+        ScheduleConfig::from_trace(&trace).expect("upmem trace carries knobs")
     }
 
     #[test]
@@ -506,11 +455,10 @@ mod tests {
             ComputeDef::geva("geva", 77, 1.5, -0.5),
             ComputeDef::gemv("gemv", 29, 31, 2.0),
         ] {
-            let space = SearchSpace::new(&def, &hw());
             let expect = def.reference(&atim_workloads_testdata(&def));
             let mut checked = 0;
             for trial in 0..12 {
-                let cfg = space.sample(&mut rng, trial % 2 == 0);
+                let cfg = sample(&mut rng, &def, trial % 2 == 0);
                 // Skip configurations that need more DPUs than small tensors
                 // provide; the verifier rejects them in the real flow.
                 let Ok(sch) = cfg.instantiate(&def) else {
@@ -538,27 +486,26 @@ mod tests {
     #[test]
     fn sample_respects_rfactor_flag() {
         let def = ComputeDef::mtv("mtv", 1024, 1024);
-        let space = SearchSpace::new(&def, &hw());
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..10 {
-            assert!(!space.sample(&mut rng, false).uses_rfactor());
-            assert!(space.sample(&mut rng, true).uses_rfactor());
+            assert!(!sample(&mut rng, &def, false).uses_rfactor());
+            assert!(sample(&mut rng, &def, true).uses_rfactor());
         }
         // Workloads without a reduction never get rfactor.
         let va = ComputeDef::va("va", 4096);
-        let va_space = SearchSpace::new(&va, &hw());
-        assert!(!va_space.sample(&mut rng, true).uses_rfactor());
+        assert!(!sample(&mut rng, &va, true).uses_rfactor());
     }
 
     #[test]
     fn mutation_changes_something_eventually() {
         let def = ComputeDef::mtv("mtv", 1024, 1024);
-        let space = SearchSpace::new(&def, &hw());
         let mut rng = StdRng::seed_from_u64(11);
-        let base = space.sample(&mut rng, true);
+        let base = sample(&mut rng, &def, true);
+        let parent = base.to_trace(&def);
         let mut changed = false;
         for _ in 0..20 {
-            if space.mutate(&mut rng, &base) != base {
+            let child = UpmemSketchGenerator.mutate(&mut rng, &def, &hw(), &parent);
+            if ScheduleConfig::from_trace(&child).as_ref() != Some(&base) {
                 changed = true;
                 break;
             }

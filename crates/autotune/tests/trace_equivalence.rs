@@ -16,7 +16,9 @@
 use atim_autotune::cost_model::{featurize_config, CostModel, NUM_FEATURES};
 use atim_autotune::session::{Budget, NullObserver, TuningSession};
 use atim_autotune::verifier::verify_lowered;
-use atim_autotune::{ScheduleConfig, SearchSpace, Trace, TuningOptions, VerifyError};
+use atim_autotune::{
+    ScheduleConfig, SpaceGenerator, Trace, TuningOptions, UpmemSketchGenerator, VerifyError,
+};
 use atim_sim::UpmemConfig;
 use atim_tir::compute::ComputeDef;
 use rand::rngs::StdRng;
@@ -77,6 +79,29 @@ fn normalized_debug(value: &impl std::fmt::Debug) -> String {
     out
 }
 
+/// The knob vector the default generator samples: the pre-trace tuner's
+/// `sample_knobs` draw (same RNG consumption), read back out of its trace.
+fn sample_config(
+    rng: &mut StdRng,
+    def: &ComputeDef,
+    hw: &UpmemConfig,
+    with_rfactor: bool,
+) -> ScheduleConfig {
+    let trace = UpmemSketchGenerator.sample(rng, def, hw, with_rfactor);
+    ScheduleConfig::from_trace(&trace).expect("upmem trace carries knobs")
+}
+
+/// One knob of `base` re-drawn by the default generator (`mutate_knobs`).
+fn mutate_config(
+    rng: &mut StdRng,
+    def: &ComputeDef,
+    hw: &UpmemConfig,
+    base: &ScheduleConfig,
+) -> ScheduleConfig {
+    let trace = UpmemSketchGenerator.mutate(rng, def, hw, &base.to_trace(def));
+    ScheduleConfig::from_trace(&trace).expect("upmem trace carries knobs")
+}
+
 fn paper_workloads() -> Vec<ComputeDef> {
     vec![
         ComputeDef::va("va", 1 << 16),
@@ -100,10 +125,9 @@ fn traces_instantiate_the_same_schedules_as_schedule_config() {
     let hw = UpmemConfig::default();
     let mut rng = StdRng::seed_from_u64(0xE9);
     for def in paper_workloads() {
-        let space = SearchSpace::new(&def, &hw);
         let mut compared = 0;
         for trial in 0..24 {
-            let cfg = space.sample(&mut rng, trial % 2 == 0);
+            let cfg = sample_config(&mut rng, &def, &hw, trial % 2 == 0);
             let reference = cfg.instantiate(&def);
             let trace = cfg.to_trace(&def);
             let via_trace = trace.apply(&def);
@@ -250,7 +274,6 @@ fn old_tune(
     options: &TuningOptions,
     measure: &mut dyn FnMut(&ScheduleConfig) -> Option<f64>,
 ) -> OldResult {
-    let space = SearchSpace::new(def, hw);
     let mut rng = StdRng::seed_from_u64(options.seed);
     let mut db = OldTuner {
         entries: Vec::new(),
@@ -275,10 +298,10 @@ fn old_tune(
                 let with_rfactor = def.has_reduce() && i % 2 == 0;
                 let explore = parents.is_empty() || rng.gen_bool(epsilon);
                 let cand = if explore {
-                    space.sample(&mut rng, with_rfactor)
+                    sample_config(&mut rng, def, hw, with_rfactor)
                 } else {
                     let parent = parents[rng.gen_range(0..parents.len())];
-                    space.mutate(&mut rng, &parent.config)
+                    mutate_config(&mut rng, def, hw, &parent.config)
                 };
                 candidates.push(cand);
             }

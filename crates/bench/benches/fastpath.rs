@@ -1,7 +1,7 @@
 //! Criterion micro-bench of the measurement fast path: the same timing-only
 //! kernel execution through the tree interpreter, the compiled bytecode, and
-//! the optimized bytecode (constant folding, affine fusion, hoisting and
-//! timing-only loop summarization — `ATIM_SIM_FASTPATH`).
+//! the optimized bytecode the simulator measures on (constant folding,
+//! affine fusion, hoisting and timing-only loop summarization).
 //!
 //! This is the per-candidate unit of work the autotuner repeats thousands of
 //! times, so the ratios here translate directly into trials-per-budget.
@@ -78,17 +78,23 @@ fn bench_kernel_engines(c: &mut Criterion) {
     group.finish();
 }
 
-/// Whole timing-only measurements (transfers + kernel + reduction) with the
-/// fast path off vs on — the end-to-end per-candidate cost.
+/// Whole timing-only measurements (transfers + kernel + reduction) on the
+/// unoptimized reference vs the measured engine — the end-to-end
+/// per-candidate cost.
 fn bench_full_measurement(c: &mut Criterion) {
     let lowered = lowered_gemv();
+    let machine = UpmemMachine::new(UpmemConfig::default());
     let mut group = c.benchmark_group("timing_measurement");
-    for (name, fastpath) in [("slowpath", false), ("fastpath", true)] {
-        let machine = UpmemMachine::with_fastpath(UpmemConfig::default(), fastpath);
-        group.bench_function(name, |b| {
-            b.iter(|| machine.run(&lowered, &[], SimMode::TimingOnly).unwrap())
-        });
-    }
+    group.bench_function("slowpath", |b| {
+        b.iter(|| {
+            machine
+                .run_reference(&lowered, &[], SimMode::TimingOnly)
+                .unwrap()
+        })
+    });
+    group.bench_function("fastpath", |b| {
+        b.iter(|| machine.run(&lowered, &[], SimMode::TimingOnly).unwrap())
+    });
     group.finish();
 }
 

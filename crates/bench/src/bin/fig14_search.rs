@@ -49,10 +49,7 @@ impl TuningObserver for ConvergenceStream {
 
 fn main() {
     let session = atim_bench::session();
-    let trials = std::env::var("ATIM_TRIALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200usize);
+    let trials = atim_bench::trials_from_env_or(200);
     let def = ComputeDef::gemv("gemv", 4096, 4096, 1.0);
     let flops = def.total_flops() as f64;
 

@@ -34,8 +34,6 @@
 //!   re-running a harness **replays** a complete log instead of
 //!   re-searching (tune once, serve many runs) and **resumes** an
 //!   incomplete one left by a crash via warm-start.
-//! * `ATIM_SIM_FASTPATH` — the simulator's bytecode fast path (default on;
-//!   `0` disables).  Latencies are bit-identical either way.
 //! * `ATIM_FLEET_WORKERS` — fan each tuning round's measurements across N
 //!   local `atim-worker` processes (default: unset, in-process).  Results
 //!   are bit-identical to in-process measurement; dead workers degrade the
@@ -142,12 +140,21 @@ fn parse_trials(raw: &str) -> Result<usize, String> {
 /// set, otherwise 48.
 ///
 /// # Panics
+/// As [`trials_from_env_or`].
+pub fn trials_from_env() -> usize {
+    trials_from_env_or(48)
+}
+
+/// `ATIM_TRIALS` if set, otherwise `default` — for harnesses whose
+/// unattended budget differs from the shared 48.
+///
+/// # Panics
 /// Panics with a descriptive message when `ATIM_TRIALS` is set to an
 /// invalid value (`0`, negative, or non-numeric).
-pub fn trials_from_env() -> usize {
+pub fn trials_from_env_or(default: usize) -> usize {
     match std::env::var(TRIALS_ENV) {
         Ok(raw) => parse_trials(&raw).unwrap_or_else(|msg| panic!("{msg}")),
-        Err(_) => 48,
+        Err(_) => default,
     }
 }
 
@@ -518,12 +525,18 @@ mod tests {
         // The env itself is process-global, so test the parser directly.
         assert_eq!(parse_trials("48"), Ok(48));
         assert_eq!(parse_trials(" 8 "), Ok(8), "whitespace is tolerated");
-        for bad in ["0", "abc", "", "-1"] {
+        for bad in ["0", "abc", "", "-1", "1e3"] {
             let err = parse_trials(bad).unwrap_err();
             assert!(
                 err.contains(TRIALS_ENV) && err.contains("positive integer"),
                 "{bad:?} -> {err}"
             );
+        }
+        // Every harness budget goes through that parser; only the fallback
+        // for an unset variable differs (fig14_search sweeps 200).
+        if std::env::var(TRIALS_ENV).is_err() {
+            assert_eq!(trials_from_env(), 48);
+            assert_eq!(trials_from_env_or(200), 200);
         }
     }
 

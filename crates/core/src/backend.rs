@@ -28,14 +28,13 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use atim_autotune::{Cancellation, MeasureJob, MeasureOutcome, MeasureReport, Trace};
-use atim_sim::{ExecutionReport, UpmemConfig};
+use atim_sim::{ExecutionReport, SimMode, SimResult, UpmemConfig, UpmemMachine};
 use atim_tir::compute::ComputeDef;
 use atim_tir::error::Result;
 use atim_tir::schedule::execute_functional;
 
 use crate::compiler::{compile_trace, CompileOptions, CompiledModule};
 use crate::measure::default_measure_threads;
-use crate::runtime::{ExecutedRun, Runtime};
 
 /// Compiles, times and executes candidate schedules for one target machine.
 ///
@@ -88,7 +87,7 @@ pub trait Backend: Send + Sync {
     ///
     /// # Errors
     /// Propagates runtime errors (resource limits, bad input shapes).
-    fn execute(&self, module: &CompiledModule, inputs: &[Vec<f32>]) -> Result<ExecutedRun>;
+    fn execute(&self, module: &CompiledModule, inputs: &[Vec<f32>]) -> Result<SimResult>;
 
     /// Measures the end-to-end latency of one candidate, or `None` when the
     /// candidate fails to compile or run — exactly the signal the autotuner
@@ -151,9 +150,8 @@ fn measure_job<B: Backend + ?Sized>(
 /// to sequential measurement.
 #[derive(Debug, Clone)]
 pub struct SimBackend {
-    hw: UpmemConfig,
     options: CompileOptions,
-    runtime: Runtime,
+    machine: UpmemMachine,
     threads: usize,
 }
 
@@ -180,8 +178,7 @@ impl SimBackend {
             "SimBackend measurement thread count must be positive (use 1 for sequential)"
         );
         SimBackend {
-            runtime: Runtime::new(hw.clone()),
-            hw,
+            machine: UpmemMachine::new(hw),
             options,
             threads,
         }
@@ -192,24 +189,9 @@ impl SimBackend {
         self.threads
     }
 
-    /// The runtime driving the simulated machine.
-    pub fn runtime(&self) -> &Runtime {
-        &self.runtime
-    }
-
-    /// Returns this backend with the bytecode fast path (optimizer +
-    /// timing-only loop summarizer) explicitly enabled or disabled.  The
-    /// default follows the `ATIM_SIM_FASTPATH` environment knob (on unless
-    /// set to `0`); both settings produce bit-identical measurements — the
-    /// fast path only changes how quickly the simulator produces them.
-    pub fn with_fastpath(mut self, fastpath: bool) -> Self {
-        self.runtime = Runtime::with_fastpath(self.hw.clone(), fastpath);
-        self
-    }
-
-    /// Whether measurements run through the optimized bytecode.
-    pub fn fastpath(&self) -> bool {
-        self.runtime.fastpath()
+    /// The simulated machine measurements run on.
+    pub fn machine(&self) -> &UpmemMachine {
+        &self.machine
     }
 }
 
@@ -225,7 +207,7 @@ impl Backend for SimBackend {
     }
 
     fn hardware(&self) -> &UpmemConfig {
-        &self.hw
+        self.machine.config()
     }
 
     fn compile_options(&self) -> CompileOptions {
@@ -233,11 +215,13 @@ impl Backend for SimBackend {
     }
 
     fn time(&self, module: &CompiledModule) -> Result<ExecutionReport> {
-        self.runtime.time(module)
+        self.machine
+            .run(&module.lowered, &[], SimMode::TimingOnly)
+            .map(|result| result.report)
     }
 
-    fn execute(&self, module: &CompiledModule, inputs: &[Vec<f32>]) -> Result<ExecutedRun> {
-        self.runtime.execute(module, inputs)
+    fn execute(&self, module: &CompiledModule, inputs: &[Vec<f32>]) -> Result<SimResult> {
+        self.machine.run(&module.lowered, inputs, SimMode::Full)
     }
 
     fn measure_jobs(
@@ -379,10 +363,10 @@ impl Backend for AnalyticBackend {
         })
     }
 
-    fn execute(&self, module: &CompiledModule, inputs: &[Vec<f32>]) -> Result<ExecutedRun> {
+    fn execute(&self, module: &CompiledModule, inputs: &[Vec<f32>]) -> Result<SimResult> {
         let output = execute_functional(&module.lowered, inputs)?;
         let report = self.time(module)?;
-        Ok(ExecutedRun {
+        Ok(SimResult {
             output: Some(output),
             report,
         })
@@ -485,18 +469,37 @@ mod tests {
         }
     }
 
+    /// What the unoptimized reference bytecode measures for every candidate
+    /// of a batch, in the tuner's outcome vocabulary.  Each candidate that
+    /// runs is also checked report-for-report against the measured engine.
+    fn reference_outcomes(
+        backend: &SimBackend,
+        batch: &[Trace],
+        def: &ComputeDef,
+    ) -> Vec<MeasureOutcome> {
+        batch
+            .iter()
+            .map(|trace| {
+                let reference = backend.compile(trace, def).and_then(|module| {
+                    let machine = backend.machine();
+                    let slow = machine.run_reference(&module.lowered, &[], SimMode::TimingOnly)?;
+                    let fast = machine.run(&module.lowered, &[], SimMode::TimingOnly)?;
+                    assert_eq!(slow.report, fast.report, "fastpath report diverges");
+                    Ok(slow.report.total_s())
+                });
+                MeasureOutcome::from_result(reference.ok())
+            })
+            .collect()
+    }
+
     /// The fast path must not change a single measurement: identical
-    /// latencies for every candidate of a batch, fastpath on vs off.
+    /// latencies for every candidate of a batch, measured engine vs the
+    /// unoptimized reference.
     #[test]
     fn fastpath_measurements_are_bit_identical() {
         let def = ComputeDef::mtv("mtv", 96, 64);
-        let slow = SimBackend::with_threads(UpmemConfig::small(), CompileOptions::default(), 1)
-            .with_fastpath(false);
-        let fast = SimBackend::with_threads(UpmemConfig::small(), CompileOptions::default(), 1)
-            .with_fastpath(true);
-        assert!(!slow.fastpath());
-        assert!(fast.fastpath());
-        let base = ScheduleConfig::default_for(&def, slow.hardware());
+        let backend = SimBackend::with_threads(UpmemConfig::small(), CompileOptions::default(), 1);
+        let base = ScheduleConfig::default_for(&def, backend.hardware());
         let batch: Vec<Trace> = (0..5)
             .map(|i| {
                 ScheduleConfig {
@@ -508,27 +511,26 @@ mod tests {
                 .to_trace(&def)
             })
             .collect();
-        let none = Cancellation::none();
-        let slow_results = measure_all(&slow, &batch, &def, &none);
+        let slow_results = reference_outcomes(&backend, &batch, &def);
         assert!(slow_results
             .iter()
             .any(|o| matches!(o, MeasureOutcome::Measured(_))));
-        assert_eq!(slow_results, measure_all(&fast, &batch, &def, &none));
+        assert_eq!(
+            slow_results,
+            measure_all(&backend, &batch, &def, &Cancellation::none())
+        );
     }
 
     /// The fast-path follow-up from the roadmap: misaligned shapes lower to
     /// boundary-*guarded* kernel loops, which the timing-only summarizer now
     /// accepts when the guard is monotone affine.  The measurements must
-    /// stay bit-identical with the fast path on vs off, and the guarded
+    /// stay bit-identical to the unoptimized reference, and the guarded
     /// loops must actually be marked summarizable.
     #[test]
     fn fastpath_matches_slow_path_on_misaligned_gemv_and_summarizes_guards() {
         let def = ComputeDef::gemv("gemv", 97, 103, 1.5);
-        let slow = SimBackend::with_threads(UpmemConfig::small(), CompileOptions::default(), 1)
-            .with_fastpath(false);
-        let fast = SimBackend::with_threads(UpmemConfig::small(), CompileOptions::default(), 1)
-            .with_fastpath(true);
-        let base = ScheduleConfig::default_for(&def, slow.hardware());
+        let backend = SimBackend::with_threads(UpmemConfig::small(), CompileOptions::default(), 1);
+        let base = ScheduleConfig::default_for(&def, backend.hardware());
         // Odd tilings so every split is misaligned and boundary checks land
         // in the kernel.
         let batch: Vec<Trace> = [(4i64, 48i64), (8, 24), (2, 96), (4, 32)]
@@ -544,9 +546,8 @@ mod tests {
                 .to_trace(&def)
             })
             .collect();
-        let none = Cancellation::none();
-        let slow_results = measure_all(&slow, &batch, &def, &none);
-        let fast_results = measure_all(&fast, &batch, &def, &none);
+        let slow_results = reference_outcomes(&backend, &batch, &def);
+        let fast_results = measure_all(&backend, &batch, &def, &Cancellation::none());
         assert!(slow_results
             .iter()
             .any(|o| matches!(o, MeasureOutcome::Measured(_))));
@@ -558,8 +559,7 @@ mod tests {
             opt_level: atim_passes::OptLevel::NoOpt,
             parallel_transfer: true,
         };
-        let module =
-            crate::compiler::compile_trace(&batch[0], &def, unhoisted, slow.hardware()).unwrap();
+        let module = compile_trace(&batch[0], &def, unhoisted, backend.hardware()).unwrap();
         let counts = module.lowered.kernel.body.count_nodes();
         assert!(
             counts.branches > 0,
@@ -571,6 +571,39 @@ mod tests {
             program.summarized_loops() >= 1,
             "boundary-guarded misaligned GEMV loops must be summarizable"
         );
+    }
+
+    /// Functional execution and timing-only measurement of one module agree
+    /// on the machine shape and the kernel time, and the tensor is right.
+    #[test]
+    fn execute_and_time_agree_on_structure() {
+        let def = ComputeDef::gemv("gemv", 96, 128, 1.5);
+        let cfg = ScheduleConfig {
+            spatial_dpus: vec![4],
+            reduce_dpus: 2,
+            tasklets: 4,
+            cache_elems: 32,
+            use_cache: true,
+            unroll: false,
+            host_threads: 2,
+            parallel_transfer: true,
+        };
+        let module = crate::compiler::compile_config(
+            &cfg,
+            &def,
+            CompileOptions::default(),
+            &UpmemConfig::default(),
+        )
+        .unwrap();
+        let backend = SimBackend::new(UpmemConfig::small(), CompileOptions::default());
+        assert_eq!(backend.hardware().total_dpus(), 16);
+        let inputs = generate_inputs(&def, 11);
+        let run = backend.execute(&module, &inputs).unwrap();
+        let expect = def.reference(&inputs);
+        assert!(results_match(run.output.as_ref().unwrap(), &expect, 128));
+        let timed = backend.time(&module).unwrap();
+        assert_eq!(timed.num_dpus, run.report.num_dpus);
+        assert!((timed.kernel_s - run.report.kernel_s).abs() / run.report.kernel_s < 1e-6);
     }
 
     #[test]

@@ -84,7 +84,7 @@ use atim_autotune::{
     Cancellation, Json, MeasureJob, MeasureOutcome, MeasureReport, SpaceGenerator, Trace,
     UpmemSketchGenerator,
 };
-use atim_sim::{ExecutionReport, UpmemConfig};
+use atim_sim::{ExecutionReport, SimResult, UpmemConfig};
 use atim_tir::compute::ComputeDef;
 use atim_tir::error::Result as TirResult;
 use atim_wire::write_frame;
@@ -92,7 +92,6 @@ use atim_workloads::{Workload, WorkloadKind};
 
 use crate::backend::Backend;
 use crate::compiler::{CompileOptions, CompiledModule};
-use crate::runtime::ExecutedRun;
 
 use supervisor::{ReconnectTarget, RoundCtx, WorkerSupervisor};
 
@@ -689,7 +688,7 @@ impl Backend for FleetBackend {
         self.inner.time(module)
     }
 
-    fn execute(&self, module: &CompiledModule, inputs: &[Vec<f32>]) -> TirResult<ExecutedRun> {
+    fn execute(&self, module: &CompiledModule, inputs: &[Vec<f32>]) -> TirResult<SimResult> {
         self.inner.execute(module, inputs)
     }
 

@@ -13,10 +13,9 @@ use crate::compiler::CompileOptions;
 /// into the fleet's configure handshake.
 ///
 /// The spec pins everything a measurement depends on: the backend kind,
-/// the full machine configuration and the compile options.  Knobs workers
-/// inherit from the environment (`ATIM_MEASURE_THREADS`,
-/// `ATIM_SIM_FASTPATH`) are deliberately *not* part of the spec — both are
-/// measurement-invariant (pinned by the fastpath and parallel-determinism
+/// the full machine configuration and the compile options.  The worker
+/// thread count (`ATIM_MEASURE_THREADS`) is deliberately *not* part of the
+/// spec — it is measurement-invariant (pinned by the parallel-determinism
 /// tests), and spawned workers inherit the parent's environment anyway.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BackendSpec {

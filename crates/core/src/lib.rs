@@ -42,7 +42,6 @@ pub mod backend;
 pub mod compiler;
 pub mod fleet;
 pub mod measure;
-pub mod runtime;
 pub mod session;
 pub mod tuned;
 
@@ -55,7 +54,6 @@ pub use fleet::{
     WorkerState,
 };
 pub use measure::{default_measure_threads, BackendMeasurer};
-pub use runtime::{ExecutedRun, Runtime};
 pub use session::{Session, SessionBuilder, SessionError};
 pub use tuned::TunedModule;
 
@@ -63,8 +61,8 @@ pub use tuned::TunedModule;
 pub mod prelude {
     pub use crate::{
         AnalyticBackend, Backend, BackendMeasurer, BackendSpec, CompileOptions, CompiledModule,
-        ExecutedRun, FleetBackend, FleetOptions, FleetStats, Session, SessionBuilder, SessionError,
-        SimBackend, TunedModule,
+        FleetBackend, FleetOptions, FleetStats, Session, SessionBuilder, SessionError, SimBackend,
+        TunedModule,
     };
     pub use atim_autotune::log::TuneLog;
     pub use atim_autotune::session::{Budget, NullObserver, TuningError, TuningObserver};
@@ -74,7 +72,7 @@ pub mod prelude {
         SPACE_GENERATOR_ENV,
     };
     pub use atim_passes::OptLevel;
-    pub use atim_sim::{SimMode, UpmemConfig};
+    pub use atim_sim::{SimMode, SimResult, UpmemConfig};
     pub use atim_tir::compute::ComputeDef;
     pub use atim_workloads::{Workload, WorkloadKind};
 }

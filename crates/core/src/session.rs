@@ -36,14 +36,13 @@ use atim_autotune::{
     SpaceGenerator, Trace, TuningOptions, TuningResult, UpmemSketchGenerator,
 };
 use atim_model::GbdtModel;
-use atim_sim::{ExecutionReport, UpmemConfig};
+use atim_sim::{ExecutionReport, SimResult, UpmemConfig};
 use atim_tir::compute::ComputeDef;
 use atim_tir::error::{Result as TirResult, TirError};
 
 use crate::backend::{Backend, SimBackend};
 use crate::compiler::{CompileOptions, CompiledModule};
 use crate::measure::BackendMeasurer;
-use crate::runtime::ExecutedRun;
 use crate::tuned::TunedModule;
 
 /// Errors surfaced by session-level operations that span tuning and
@@ -542,7 +541,7 @@ impl Session {
     ///
     /// # Errors
     /// Propagates runtime errors (resource limits, bad input shapes).
-    pub fn execute(&self, module: &CompiledModule, inputs: &[Vec<f32>]) -> TirResult<ExecutedRun> {
+    pub fn execute(&self, module: &CompiledModule, inputs: &[Vec<f32>]) -> TirResult<SimResult> {
         self.backend.execute(module, inputs)
     }
 
@@ -810,13 +809,38 @@ mod tests {
         assert_eq!(sequential.rejected(), parallel.rejected());
     }
 
+    /// [`SimBackend`] with `time` — and so the default `measure` /
+    /// `measure_jobs` built on it — answered by the unoptimized reference
+    /// bytecode.
+    struct ReferenceBackend(SimBackend);
+
+    impl Backend for ReferenceBackend {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn hardware(&self) -> &UpmemConfig {
+            self.0.hardware()
+        }
+        fn compile_options(&self) -> CompileOptions {
+            self.0.compile_options()
+        }
+        fn time(&self, module: &CompiledModule) -> TirResult<ExecutionReport> {
+            let machine = self.0.machine();
+            Ok(machine
+                .run_reference(&module.lowered, &[], atim_sim::SimMode::TimingOnly)?
+                .report)
+        }
+        fn execute(&self, module: &CompiledModule, inputs: &[Vec<f32>]) -> TirResult<SimResult> {
+            self.0.execute(module, inputs)
+        }
+    }
+
     /// Same seed ⇒ tuning through the bytecode fast path chooses the
-    /// identical schedule with identical reported latencies as the
-    /// unoptimized path — the fast path only changes how fast the simulator
-    /// produces each measurement.
+    /// identical schedule with identical reported latencies as tuning on
+    /// the unoptimized reference — the fast path only changes how fast the
+    /// simulator produces each measurement.
     #[test]
     fn fastpath_tuning_is_bit_identical_to_the_slow_path() {
-        use crate::backend::SimBackend;
         let def = ComputeDef::mtv("mtv", 96, 64);
         let options = TuningOptions {
             trials: 10,
@@ -824,18 +848,14 @@ mod tests {
             measure_per_round: 5,
             ..TuningOptions::default()
         };
-        let tune = |fastpath: bool| {
-            let backend =
-                SimBackend::with_threads(UpmemConfig::small(), CompileOptions::default(), 2)
-                    .with_fastpath(fastpath);
+        let backend = SimBackend::with_threads(UpmemConfig::small(), CompileOptions::default(), 2);
+        let tune = |session: Session| session.tune(&def, &options).unwrap();
+        let slow = tune(
             Session::builder()
-                .backend(backend)
-                .build()
-                .tune(&def, &options)
-                .unwrap()
-        };
-        let slow = tune(false);
-        let fast = tune(true);
+                .backend(ReferenceBackend(backend.clone()))
+                .build(),
+        );
+        let fast = tune(Session::builder().backend(backend).build());
         assert_eq!(slow.best_config(), fast.best_config());
         assert_eq!(slow.best_latency_s(), fast.best_latency_s());
         assert_eq!(

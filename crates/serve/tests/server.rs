@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use atim_autotune::{Cancellation, MeasureJob, MeasureOutcome, MeasureReport, Trace};
 use atim_core::{AnalyticBackend, Backend, CompileOptions, CompiledModule, Session};
 use atim_serve::{serve, Client, ServeOptions, TuneRequest};
-use atim_sim::{ExecutionReport, UpmemConfig};
+use atim_sim::{ExecutionReport, SimResult, UpmemConfig};
 use atim_tir::compute::ComputeDef;
 use atim_tir::error::Result as TirResult;
 
@@ -60,11 +60,7 @@ impl Backend for GatedBackend {
     fn time(&self, module: &CompiledModule) -> TirResult<ExecutionReport> {
         self.inner.time(module)
     }
-    fn execute(
-        &self,
-        module: &CompiledModule,
-        inputs: &[Vec<f32>],
-    ) -> TirResult<atim_core::ExecutedRun> {
+    fn execute(&self, module: &CompiledModule, inputs: &[Vec<f32>]) -> TirResult<SimResult> {
         self.inner.execute(module, inputs)
     }
     fn measure(&self, trace: &Trace, def: &ComputeDef) -> Option<f64> {

@@ -53,5 +53,5 @@ pub mod stats;
 pub mod timing;
 
 pub use config::{PimTarget, UpmemConfig};
-pub use machine::{fastpath_from_env, SimMode, SimResult, UpmemMachine, FASTPATH_ENV};
+pub use machine::{SimMode, SimResult, UpmemMachine};
 pub use stats::{CycleBreakdown, DpuCounters, ExecutionReport};

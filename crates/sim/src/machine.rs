@@ -41,26 +41,10 @@ pub struct SimResult {
     pub report: ExecutionReport,
 }
 
-/// Environment variable gating the bytecode fast path (optimizer + loop
-/// summarizer).  Enabled by default; set to `0` (or `false`/`off`/`no`) to
-/// execute the unoptimized bytecode — e.g. to validate that both paths agree
-/// on latencies.
-pub const FASTPATH_ENV: &str = "ATIM_SIM_FASTPATH";
-
-/// Whether `ATIM_SIM_FASTPATH` currently enables the fast path (the default
-/// when unset).
-pub fn fastpath_from_env() -> bool {
-    match std::env::var(FASTPATH_ENV) {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-        Err(_) => true,
-    }
-}
-
 /// The simulated UPMEM server.
 #[derive(Debug, Clone)]
 pub struct UpmemMachine {
     config: UpmemConfig,
-    fastpath: bool,
 }
 
 impl Default for UpmemMachine {
@@ -70,25 +54,9 @@ impl Default for UpmemMachine {
 }
 
 impl UpmemMachine {
-    /// Creates a machine with the given hardware configuration; the bytecode
-    /// fast path defaults from [`FASTPATH_ENV`].
+    /// Creates a machine with the given hardware configuration.
     pub fn new(config: UpmemConfig) -> Self {
-        UpmemMachine::with_fastpath(config, fastpath_from_env())
-    }
-
-    /// Creates a machine with an explicit fast-path setting.
-    pub fn with_fastpath(config: UpmemConfig, fastpath: bool) -> Self {
-        UpmemMachine { config, fastpath }
-    }
-
-    /// Whether programs run through the optimized bytecode.
-    pub fn fastpath(&self) -> bool {
-        self.fastpath
-    }
-
-    /// Enables or disables the bytecode fast path.
-    pub fn set_fastpath(&mut self, fastpath: bool) {
-        self.fastpath = fastpath;
+        UpmemMachine { config }
     }
 
     /// The machine's configuration.
@@ -96,7 +64,11 @@ impl UpmemMachine {
         &self.config
     }
 
-    /// Runs a lowered program.
+    /// Runs a lowered program on the optimized bytecode: every program is
+    /// compiled to a flat instruction buffer and put through the
+    /// event-count-preserving optimizer, whose loop summaries collapse
+    /// timing-only iterations into bulk events (functional runs execute
+    /// summarized loops normally).
     ///
     /// In [`SimMode::Full`], `inputs` must contain one vector per declared
     /// input; in [`SimMode::TimingOnly`] the inputs are ignored and may be
@@ -106,6 +78,34 @@ impl UpmemMachine {
     /// Fails if the program uses more DPUs than the machine has, or on
     /// interpreter errors (which indicate lowering bugs).
     pub fn run(&self, lowered: &Lowered, inputs: &[Vec<f32>], mode: SimMode) -> Result<SimResult> {
+        self.run_with(lowered, inputs, mode, |stmt| {
+            CompiledProgram::compile(stmt).optimize()
+        })
+    }
+
+    /// [`UpmemMachine::run`] on the *unoptimized* bytecode — the reference
+    /// the optimizer is checked against.  Equivalence tests only, never
+    /// measurement.
+    ///
+    /// # Errors
+    /// As [`UpmemMachine::run`].
+    #[doc(hidden)]
+    pub fn run_reference(
+        &self,
+        lowered: &Lowered,
+        inputs: &[Vec<f32>],
+        mode: SimMode,
+    ) -> Result<SimResult> {
+        self.run_with(lowered, inputs, mode, CompiledProgram::compile)
+    }
+
+    fn run_with(
+        &self,
+        lowered: &Lowered,
+        inputs: &[Vec<f32>],
+        mode: SimMode,
+        prepare: impl Fn(&Stmt) -> CompiledProgram,
+    ) -> Result<SimResult> {
         let num_dpus = lowered.grid.num_dpus();
         if num_dpus > self.config.total_dpus() as i64 {
             return Err(TirError::Internal(format!(
@@ -145,19 +145,6 @@ impl UpmemMachine {
 
         // Every program is pre-lowered to a flat instruction buffer once per
         // launch; the kernel program in particular is reused across DPUs.
-        // With the fast path on, the buffer additionally goes through the
-        // event-count-preserving bytecode optimizer, whose loop summaries
-        // collapse timing-only iterations into bulk events (the knob is
-        // [`FASTPATH_ENV`]; functional runs use the same optimized program
-        // but execute summarized loops normally).
-        let prepare = |stmt: &Stmt| {
-            let program = CompiledProgram::compile(stmt);
-            if self.fastpath {
-                program.optimize()
-            } else {
-                program
-            }
-        };
         let run_flat = |stmt: &Stmt, store: &mut MemoryStore, tracer: &mut dyn Tracer| {
             CompiledRunner::new(&prepare(stmt)).run(store, tracer, exec_mode)
         };
@@ -335,23 +322,22 @@ mod tests {
     }
 
     /// The acceptance pin of the bytecode fast path: identical reports (all
-    /// latency components, counters and byte totals) with the optimizer +
-    /// summarizer on and off — on aligned shapes, misaligned shapes (whose
-    /// guarded kernels exercise hoisting and the summarizer fallback) and in
-    /// both simulation modes.
+    /// latency components, counters and byte totals) from the optimized
+    /// program and from the unoptimized reference — on aligned shapes,
+    /// misaligned shapes (whose guarded kernels exercise hoisting and the
+    /// summarizer fallback) and in both simulation modes.
     #[test]
     fn fastpath_reports_are_bit_identical_to_the_slow_path() {
+        let machine = UpmemMachine::new(UpmemConfig::small());
         for (m, k) in [(32, 64), (70, 90), (33, 47)] {
             let sch = mtv_schedule(m, k, 4, 2, 2, 16);
             let def = sch.def().clone();
             let lowered = sch.lower().unwrap();
             let inputs = inputs_for(&def);
-            let slow = UpmemMachine::with_fastpath(UpmemConfig::small(), false);
-            let fast = UpmemMachine::with_fastpath(UpmemConfig::small(), true);
             for mode in [SimMode::Full, SimMode::TimingOnly] {
                 let ins: &[Vec<f32>] = if mode == SimMode::Full { &inputs } else { &[] };
-                let a = slow.run(&lowered, ins, mode).unwrap();
-                let b = fast.run(&lowered, ins, mode).unwrap();
+                let a = machine.run_reference(&lowered, ins, mode).unwrap();
+                let b = machine.run(&lowered, ins, mode).unwrap();
                 assert_eq!(
                     a.report, b.report,
                     "fastpath report diverges for {m}x{k} in {mode:?}"
@@ -359,16 +345,6 @@ mod tests {
                 assert_eq!(a.output, b.output, "fastpath output diverges for {m}x{k}");
             }
         }
-    }
-
-    #[test]
-    fn fastpath_env_parsing_defaults_on() {
-        // The env itself is process-global; only exercise the parser via the
-        // constructor default and explicit settings.
-        let mut machine = UpmemMachine::with_fastpath(UpmemConfig::small(), true);
-        assert!(machine.fastpath());
-        machine.set_fastpath(false);
-        assert!(!machine.fastpath());
     }
 
     #[test]

@@ -14,10 +14,14 @@
 //! have a single instance, while `Mram`/`Wram` buffers have one instance per
 //! DPU (selected by [`Interpreter::set_dpu`]).
 //!
-//! For hot paths (autotuning measurements interpret the same kernel for every
-//! simulated DPU), the [`compiled`] submodule pre-lowers a [`Stmt`] tree once
-//! into a flat instruction buffer with dense variable slots; see
-//! [`CompiledProgram`].
+//! One measured engine, two references: the simulator measures on the
+//! [`compiled`] submodule's bytecode — a [`Stmt`] tree pre-lowered once into
+//! a flat instruction buffer with dense variable slots
+//! ([`CompiledProgram::compile`]) and then put through the
+//! event-count-preserving optimizer ([`CompiledProgram::optimize`], see
+//! [`opt`]).  The unoptimized bytecode and this tree interpreter stay as the
+//! references that engine is tested against (and the interpreter as the
+//! functional oracle).
 
 use std::collections::HashMap;
 

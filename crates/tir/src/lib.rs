@@ -16,13 +16,15 @@
 //!   `unroll`) repurposed for joint host/kernel optimization, plus the
 //!   lowering pass that produces per-DPU kernels, host transfer programs and
 //!   host reduction loops.
-//! * [`eval`] — a reference interpreter for loop-based TIR, plus a
-//!   pre-lowered fast path ([`eval::CompiledProgram`]) that flattens a
-//!   statement tree into an instruction buffer once and reuses it across
-//!   every simulated DPU.  Both are parameterized by a [`eval::Tracer`] so
-//!   the UPMEM simulator (`atim-sim`) can attach its cycle/instruction
-//!   accounting to the exact same execution that produces functional
-//!   results.
+//! * [`eval`] — one measured engine, two references.  The engine is the
+//!   optimized bytecode (`eval::CompiledProgram::compile(..).optimize()`):
+//!   a statement tree flattened once into an instruction buffer, rewritten
+//!   by an event-count-preserving optimizer and reused across every
+//!   simulated DPU.  The references it is tested against are the
+//!   unoptimized bytecode and the tree [`eval::Interpreter`].  All three
+//!   are parameterized by a [`eval::Tracer`] so the UPMEM simulator
+//!   (`atim-sim`) can attach its cycle/instruction accounting to the exact
+//!   same execution that produces functional results.
 //! * [`affine`] — linear-expression analysis used by the PIM-aware passes
 //!   (boundary-check elimination, loop-bound tightening, branch hoisting).
 //!

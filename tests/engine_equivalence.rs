@@ -1,0 +1,147 @@
+//! Pins the one measured engine against its reference.
+//!
+//! `UpmemMachine::run` executes every program as
+//! `CompiledProgram::compile(..).optimize()` — constant folding, affine
+//! fusion, guard hoisting and timing-only loop summaries.  Every latency
+//! the tuner sees rests on that optimizer preserving event counts, so this
+//! suite runs the *unoptimized* bytecode (`UpmemMachine::run_reference`)
+//! next to it and demands identical results, on a matrix the per-crate
+//! equivalence tests only sample:
+//!
+//! * all ten workload kinds (incl. batched GEMM, attention, int8 GEMV) on
+//!   shrunken, mostly misaligned shapes,
+//! * all three resident schedule-space generators,
+//! * seeded sampled traces that pass the verifier,
+//! * compiled with the default PIM-aware passes and with none
+//!   (`OptLevel::NoOpt` leaves every boundary guard in the kernel),
+//! * the whole `ExecutionReport` in `TimingOnly`, report + output tensor in
+//!   `Full`.
+
+use atim_autotune::verify_trace;
+use atim_core::prelude::*;
+use atim_core::{compile_config, compile_trace};
+use atim_sim::UpmemMachine;
+use atim_workloads::data::generate_inputs;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Traces compared per (workload, generator) cell, and the floor below
+/// which a cell counts as not covered.
+const TRACES_PER_CELL: usize = 8;
+const MIN_TRACES_PER_CELL: usize = 4;
+
+/// Both compile pipelines the engines must agree under.
+fn pipelines() -> [CompileOptions; 2] {
+    [
+        CompileOptions::default(),
+        CompileOptions {
+            opt_level: OptLevel::NoOpt,
+            parallel_transfer: true,
+        },
+    ]
+}
+
+/// Runs one module on both engines in both modes and compares everything
+/// they return.
+fn assert_engines_agree(machine: &UpmemMachine, module: &CompiledModule, what: &str) {
+    let lowered = &module.lowered;
+    let fast = machine.run(lowered, &[], SimMode::TimingOnly).unwrap();
+    let slow = machine
+        .run_reference(lowered, &[], SimMode::TimingOnly)
+        .unwrap();
+    assert_eq!(fast.report, slow.report, "{what}: timing-only report");
+
+    let inputs = generate_inputs(module.def(), 7);
+    let fast = machine.run(lowered, &inputs, SimMode::Full).unwrap();
+    let slow = machine
+        .run_reference(lowered, &inputs, SimMode::Full)
+        .unwrap();
+    assert_eq!(fast.report, slow.report, "{what}: full report");
+    assert!(fast.output.is_some(), "{what}: full mode returns a tensor");
+    assert_eq!(fast.output, slow.output, "{what}: output tensor");
+}
+
+#[test]
+fn optimized_bytecode_matches_the_reference_on_every_workload_and_generator() {
+    // 64 DPUs: room for spatial × rfactor grids, small enough that `Full`
+    // mode interprets every DPU of every candidate twice.
+    let hw = UpmemConfig {
+        ranks: 4,
+        dpus_per_rank: 16,
+        ..UpmemConfig::default()
+    };
+    let machine = UpmemMachine::new(hw.clone());
+    let shapes: [(WorkloadKind, &[i64]); 10] = [
+        (WorkloadKind::Va, &[1000]),
+        (WorkloadKind::Red, &[900]),
+        (WorkloadKind::Mtv, &[36, 44]),
+        (WorkloadKind::Ttv, &[3, 12, 20]),
+        (WorkloadKind::Mmtv, &[4, 10, 24]),
+        (WorkloadKind::Geva, &[776]),
+        (WorkloadKind::Gemv, &[28, 36]),
+        (WorkloadKind::Bgemm, &[2, 6, 8, 12]),
+        (WorkloadKind::Attn, &[2, 10, 12]),
+        // 1-byte operands: the reduction extent keeps 8-byte-aligned even
+        // divisors, or the divisor-snapping space has no DMA-legal tile.
+        (WorkloadKind::Qgemv, &[36, 48]),
+    ];
+    assert_eq!(shapes.map(|(kind, _)| kind), WorkloadKind::ALL);
+
+    for (w, (kind, shape)) in shapes.into_iter().enumerate() {
+        let def = Workload::new(kind, shape.to_vec()).compute_def();
+        for (g, id) in RESIDENT_GENERATOR_IDS.into_iter().enumerate() {
+            let generator = resolve_generator(id).expect("resident id");
+            let mut rng = StdRng::seed_from_u64(0xE6 + (w * 16 + g) as u64);
+            let mut compared = 0;
+            for attempt in 0..64 {
+                if compared == TRACES_PER_CELL {
+                    break;
+                }
+                let with_rfactor = def.has_reduce() && attempt % 2 == 0;
+                let trace = generator.sample(&mut rng, &def, &hw, with_rfactor);
+                if verify_trace(&trace, &def, &hw).is_err() {
+                    continue;
+                }
+                for options in pipelines() {
+                    let module = compile_trace(&trace, &def, options, &hw).unwrap();
+                    let what = format!("{}/{id}/{:?}/{trace}", def.name, options.opt_level);
+                    assert_engines_agree(&machine, &module, &what);
+                }
+                compared += 1;
+            }
+            assert!(
+                compared >= MIN_TRACES_PER_CELL,
+                "{}/{id}: only {compared} sampled traces passed the verifier",
+                def.name
+            );
+        }
+    }
+}
+
+/// The two Fig. 9 cases (and their six-candidate batch) the retired
+/// fast-path perf snapshot asserted bit-identity on, on the full 2048-DPU
+/// machine.
+#[test]
+fn optimized_bytecode_matches_the_reference_on_the_snapshot_batches() {
+    let hw = UpmemConfig::default();
+    let machine = UpmemMachine::new(hw.clone());
+    for def in [
+        ComputeDef::mmtv("mmtv", 16, 128, 128),
+        ComputeDef::gemv("gemv", 2048, 512, 1.0),
+    ] {
+        let base = ScheduleConfig::default_for(&def, &hw);
+        for i in 0..6 {
+            let config = ScheduleConfig {
+                spatial_dpus: vec![16 << (i % 3)],
+                tasklets: [8, 12, 16][i % 3],
+                cache_elems: [32, 64, 128][(i / 2) % 3],
+                ..base.clone()
+            };
+            for options in pipelines() {
+                let module = compile_config(&config, &def, options, &hw).unwrap();
+                let what = format!("{}/{config:?}/{:?}", def.name, options.opt_level);
+                assert_engines_agree(&machine, &module, &what);
+            }
+        }
+    }
+}

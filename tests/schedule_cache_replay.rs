@@ -9,8 +9,8 @@ use std::sync::Arc;
 use atim_autotune::log::TuneLog;
 use atim_autotune::session::{Budget, NullObserver};
 use atim_autotune::{Cancellation, MeasureJob, MeasureReport, Trace, TuningOptions};
-use atim_core::{AnalyticBackend, Backend, CompileOptions, CompiledModule, ExecutedRun, Session};
-use atim_sim::{ExecutionReport, UpmemConfig};
+use atim_core::{AnalyticBackend, Backend, CompileOptions, CompiledModule, Session};
+use atim_sim::{ExecutionReport, SimResult, UpmemConfig};
 use atim_tir::compute::ComputeDef;
 use atim_tir::error::Result as TirResult;
 use atim_workloads::{Workload, WorkloadKind};
@@ -50,7 +50,7 @@ impl Backend for CountingBackend {
         self.measurements.fetch_add(1, Ordering::SeqCst);
         self.inner.time(module)
     }
-    fn execute(&self, module: &CompiledModule, inputs: &[Vec<f32>]) -> TirResult<ExecutedRun> {
+    fn execute(&self, module: &CompiledModule, inputs: &[Vec<f32>]) -> TirResult<SimResult> {
         self.inner.execute(module, inputs)
     }
     fn measure(&self, trace: &Trace, def: &ComputeDef) -> Option<f64> {
