@@ -5,9 +5,13 @@
 //!
 //! This is the per-candidate unit of work the autotuner repeats thousands of
 //! times, so the ratios here translate directly into trials-per-budget.
+//! The `transfer_programs` group does the same for the host-transfer
+//! programs, whose `for dpu… for row… transfer` nests the summarizer
+//! collapses level by level.
 
 use atim_autotune::ScheduleConfig;
 use atim_core::prelude::*;
+use atim_sim::stats::TransferCounters;
 use atim_sim::{SimMode, UpmemMachine};
 use atim_tir::eval::{CompiledProgram, CompiledRunner, ExecMode, Interpreter, MemoryStore};
 use atim_tir::schedule::Lowered;
@@ -98,5 +102,57 @@ fn bench_full_measurement(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kernel_engines, bench_full_measurement);
+/// The h2d (setup + per-launch) and d2h programs of one candidate in
+/// timing-only mode, unoptimized (`reference`) vs as measured (`run`): an
+/// aligned MTV on all 2048 DPUs, where every level summarizes, and the
+/// misaligned GPT-J MMTV, whose boundary guards and tail clamps keep some
+/// levels iterating.
+fn bench_transfer_programs(c: &mut Criterion) {
+    let session = Session::default();
+    let mtv = ComputeDef::mtv("mtv", 4096, 4096);
+    let mtv_cfg = ScheduleConfig {
+        spatial_dpus: vec![256],
+        reduce_dpus: 8,
+        ..ScheduleConfig::default_for(&mtv, &UpmemConfig::default())
+    };
+    let mmtv = ComputeDef::mmtv("mmtv", 64, 100, 256);
+    let mmtv_cfg = ScheduleConfig {
+        spatial_dpus: vec![64, 16],
+        reduce_dpus: 2,
+        ..ScheduleConfig::default_for(&mmtv, &UpmemConfig::default())
+    };
+    let mut group = c.benchmark_group("transfer_programs");
+    for (name, cfg, def) in [
+        ("mtv_aligned", mtv_cfg, mtv),
+        ("mmtv_misaligned", mmtv_cfg, mmtv),
+    ] {
+        let lowered = session.compile_config(&cfg, &def).unwrap().lowered;
+        let stmts = [&lowered.h2d_setup, &lowered.h2d, &lowered.d2h];
+        let reference = stmts.map(CompiledProgram::compile);
+        let optimized = stmts.map(|stmt| CompiledProgram::compile(stmt).optimize());
+        let count = |programs: &[CompiledProgram; 3]| {
+            let mut counters = TransferCounters::default();
+            for program in programs {
+                CompiledRunner::new(program)
+                    .run(&mut MemoryStore::new(), &mut counters, ExecMode::TimingOnly)
+                    .unwrap();
+            }
+            counters
+        };
+        assert!(count(&reference).h2d_calls > 0 && count(&reference).d2h_calls > 0);
+        assert_eq!(count(&reference), count(&optimized));
+        group.bench_function(&format!("{name}/reference"), |b| {
+            b.iter(|| count(&reference))
+        });
+        group.bench_function(&format!("{name}/run"), |b| b.iter(|| count(&optimized)));
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_kernel_engines,
+    bench_full_measurement,
+    bench_transfer_programs
+);
 criterion_main!(benches);

@@ -347,6 +347,64 @@ mod tests {
         }
     }
 
+    /// Pins the cost of transfer simulation without a clock: the aligned
+    /// MTV 4096×4096 on all 2048 DPUs moves its 32768 weight rows and 2048
+    /// vector slices through a handful of tracer invocations (one bulk
+    /// batch per nest), not one per row.
+    #[test]
+    fn aligned_transfer_nests_reach_the_tracer_in_a_handful_of_calls() {
+        /// Forwards to the real counters, counting every invocation (host
+        /// programs emit no event kind beyond these).
+        #[derive(Default)]
+        struct Counted {
+            counters: TransferCounters,
+            invocations: u64,
+        }
+        impl Tracer for Counted {
+            fn alu(&mut self, _n: usize) {
+                self.invocations += 1;
+            }
+            fn loop_enter(&mut self) {
+                self.invocations += 1;
+            }
+            fn loop_iter(&mut self) {
+                self.invocations += 1;
+                self.counters.loop_iter();
+            }
+            fn host_transfer(&mut self, dir: TransferDir, dpu: i64, bytes: usize, parallel: bool) {
+                self.invocations += 1;
+                self.counters.host_transfer(dir, dpu, bytes, parallel);
+            }
+            fn bulk(&mut self, events: &atim_tir::eval::BulkEvents) {
+                self.invocations += 1;
+                self.counters.bulk(events);
+            }
+        }
+
+        let lowered = mtv_schedule(4096, 4096, 256, 8, 16, 64).lower().unwrap();
+        assert_eq!(lowered.grid.num_dpus(), 2048);
+        for (program, calls, bytes) in [
+            (&lowered.h2d_setup, 2048 * 16, 4096 * 4096 * 4),
+            (&lowered.h2d, 2048, 2048 * 512 * 4),
+        ] {
+            let mut seen = Counted::default();
+            CompiledRunner::new(&CompiledProgram::compile(program).optimize())
+                .run(&mut MemoryStore::new(), &mut seen, ExecMode::TimingOnly)
+                .unwrap();
+            let mut reference = TransferCounters::default();
+            CompiledRunner::new(&CompiledProgram::compile(program))
+                .run(
+                    &mut MemoryStore::new(),
+                    &mut reference,
+                    ExecMode::TimingOnly,
+                )
+                .unwrap();
+            assert_eq!(seen.counters, reference);
+            assert_eq!((reference.h2d_calls, reference.h2d_bytes), (calls, bytes));
+            assert!(seen.invocations < 64, "{} invocations", seen.invocations);
+        }
+    }
+
     #[test]
     fn too_many_dpus_is_an_error() {
         let machine = UpmemMachine::new(UpmemConfig::small()); // 16 DPUs

@@ -121,8 +121,6 @@ pub struct TransferCounters {
     pub d2h_calls: u64,
     /// DPU→host bytes.
     pub d2h_bytes: u64,
-    /// Maximum bytes moved to/from a single DPU (bounds parallel transfers).
-    pub max_per_dpu_bytes: u64,
     /// Whether every transfer used the rank-parallel push path.
     pub all_parallel: bool,
     /// Whether any transfer was seen at all.
@@ -130,11 +128,12 @@ pub struct TransferCounters {
     /// Host-loop iterations executed while generating the transfers (address
     /// generation cost on the host).
     pub host_loop_iters: u64,
-    per_dpu: std::collections::HashMap<i64, u64>,
 }
 
-impl Tracer for TransferCounters {
-    fn host_transfer(&mut self, dir: TransferDir, dpu: i64, bytes: usize, parallel: bool) {
+impl TransferCounters {
+    /// Records `calls` transfers of one direction and `parallel` flag
+    /// moving `bytes` in total.
+    fn record(&mut self, dir: TransferDir, parallel: bool, calls: u64, bytes: u64) {
         if !self.any {
             self.all_parallel = true;
             self.any = true;
@@ -142,25 +141,29 @@ impl Tracer for TransferCounters {
         self.all_parallel &= parallel;
         match dir {
             TransferDir::H2D => {
-                self.h2d_calls += 1;
-                self.h2d_bytes += bytes as u64;
+                self.h2d_calls += calls;
+                self.h2d_bytes += bytes;
             }
             TransferDir::D2H => {
-                self.d2h_calls += 1;
-                self.d2h_bytes += bytes as u64;
+                self.d2h_calls += calls;
+                self.d2h_bytes += bytes;
             }
         }
-        let e = self.per_dpu.entry(dpu).or_insert(0);
-        *e += bytes as u64;
-        if *e > self.max_per_dpu_bytes {
-            self.max_per_dpu_bytes = *e;
-        }
+    }
+}
+
+impl Tracer for TransferCounters {
+    fn host_transfer(&mut self, dir: TransferDir, _dpu: i64, bytes: usize, parallel: bool) {
+        self.record(dir, parallel, 1, bytes as u64);
     }
     fn loop_iter(&mut self) {
         self.host_loop_iters += 1;
     }
     fn bulk(&mut self, events: &BulkEvents) {
         self.host_loop_iters += events.loop_iters;
+        for g in &events.transfers {
+            self.record(g.dir, g.parallel, g.calls, g.bytes);
+        }
     }
 }
 
@@ -281,6 +284,7 @@ impl ExecutionReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atim_tir::eval::TransferGroup;
 
     #[test]
     fn counters_merge() {
@@ -317,11 +321,41 @@ mod tests {
         Tracer::host_transfer(&mut t, TransferDir::H2D, 0, 64, true);
         Tracer::host_transfer(&mut t, TransferDir::H2D, 1, 128, true);
         Tracer::host_transfer(&mut t, TransferDir::D2H, 1, 32, false);
-        assert_eq!(t.h2d_calls, 2);
-        assert_eq!(t.h2d_bytes, 192);
-        assert_eq!(t.d2h_bytes, 32);
-        assert_eq!(t.max_per_dpu_bytes, 160);
-        assert!(!t.all_parallel);
+        assert_eq!(
+            t,
+            TransferCounters {
+                h2d_calls: 2,
+                h2d_bytes: 192,
+                d2h_calls: 1,
+                d2h_bytes: 32,
+                all_parallel: false,
+                any: true,
+                host_loop_iters: 0,
+            }
+        );
+        // A bulk batch of the same transfers is applied arithmetically.
+        let mut bulk = TransferCounters::default();
+        Tracer::bulk(
+            &mut bulk,
+            &BulkEvents {
+                transfers: vec![
+                    TransferGroup {
+                        dir: TransferDir::H2D,
+                        parallel: true,
+                        calls: 2,
+                        bytes: 192,
+                    },
+                    TransferGroup {
+                        dir: TransferDir::D2H,
+                        parallel: false,
+                        calls: 1,
+                        bytes: 32,
+                    },
+                ],
+                ..BulkEvents::default()
+            },
+        );
+        assert_eq!(bulk, t);
     }
 
     #[test]

@@ -28,7 +28,9 @@ use crate::error::{Result, TirError};
 use crate::expr::{BinOp, CmpOp, Expr};
 use crate::stmt::{Stmt, TransferDir};
 
-use super::{eval_binary, eval_cmp, BulkEvents, ExecMode, MemoryStore, Tracer, Value};
+use super::{
+    eval_binary, eval_cmp, BulkEvents, ExecMode, MemoryStore, Tracer, TransferGroup, Value,
+};
 
 /// One flat instruction.  Expressions are compiled to stack operations,
 /// statements to instructions with explicit jump targets.
@@ -132,11 +134,11 @@ pub(crate) enum Inst {
 }
 
 /// The instruction range of a loop body the optimizer proved summarizable:
-/// straight-line, innermost, and with all DMA sizes affine in the induction
-/// variable (see `opt`).  In [`ExecMode::TimingOnly`], the runner executes
-/// iterations `0`, `1` and `n-1` into a scratch recorder, verifies the event
-/// deltas are linear, and applies the remaining iterations as one
-/// [`BulkEvents`] batch.
+/// well-nested, guarded only by monotone conditions, and with all DMA and
+/// host-transfer sizes affine in the induction variable (see `opt`).  In
+/// [`ExecMode::TimingOnly`], the runner executes iterations `0`, `1` and
+/// `n-1` into a scratch recorder, verifies the event deltas are linear, and
+/// applies all `n` iterations as one [`BulkEvents`] batch.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LoopSummary {
     /// First instruction of the loop body.
@@ -477,12 +479,14 @@ pub struct CompiledRunner<'p> {
 const SUMMARIZE_MIN_EXTENT: i64 = 16;
 
 /// Scratch recorder for one probe iteration of a summarizable loop body.
-/// Event *counts* are fixed by the branch-free instruction sequence (nested
-/// loops with invariant extents included); only DMA byte totals can vary
-/// across iterations.  Loads/stores are run-length encoded so deeply nested
-/// bodies stay compact; nested summarized loops land as one aggregated DMA
-/// "site" via the [`Tracer::bulk`] override (sums of convex per-request
-/// byte functions are convex, so the three-point check stays sound).
+/// Event *counts* are fixed by the instruction sequence once the guard
+/// directions agree (nested loops with invariant extents included); only
+/// the byte totals of DMA and host-transfer *sites* can vary across
+/// iterations.  Loads/stores are run-length encoded so deeply nested bodies
+/// stay compact; nested summarized loops land as one aggregated DMA site
+/// and one aggregated transfer site per `(dir, parallel)` via the
+/// [`Tracer::bulk`] override (sums of convex per-request byte functions are
+/// convex, so the three-point check stays sound).
 #[derive(Debug, Clone, Default, PartialEq)]
 struct ProbeEvents {
     alu: u64,
@@ -506,9 +510,10 @@ struct ProbeEvents {
     loop_enters: u64,
     loop_iters: u64,
     barriers: u64,
-    /// Set when an event the summarizer cannot model fires (defensive: the
-    /// static analysis should make this impossible).
-    unsupported: bool,
+    /// Host-transfer sites in event order.  The addressed DPU and the
+    /// offsets are not recorded: timing-only execution never dereferences
+    /// them and no tracer's totals depend on them.
+    transfers: Vec<TransferGroup>,
 }
 
 fn push_rle(
@@ -549,15 +554,20 @@ impl Tracer for ProbeEvents {
     fn dma(&mut self, bytes: usize) {
         self.dma.push((1, bytes as u64));
     }
-    fn host_transfer(&mut self, _dir: TransferDir, _dpu: i64, _bytes: usize, _parallel: bool) {
-        self.unsupported = true;
+    fn host_transfer(&mut self, dir: TransferDir, _dpu: i64, bytes: usize, parallel: bool) {
+        self.transfers.push(TransferGroup {
+            dir,
+            parallel,
+            calls: 1,
+            bytes: bytes as u64,
+        });
     }
     fn barrier(&mut self) {
         self.barriers += 1;
     }
     fn bulk(&mut self, events: &BulkEvents) {
         // A nested summarized loop reports here: totals are exact, and its
-        // DMA traffic becomes one aggregated site.
+        // DMA and transfer traffic become aggregated sites.
         self.alu += events.alu;
         for &(scope, bytes, count) in &events.loads {
             push_rle(&mut self.loads, scope, bytes, count);
@@ -572,16 +582,15 @@ impl Tracer for ProbeEvents {
             self.dma.push((events.dma_requests, events.dma_bytes));
         }
         self.barriers += events.barriers;
+        self.transfers.extend_from_slice(&events.transfers);
     }
 }
 
 impl ProbeEvents {
     /// The iteration-invariant part of the recording (everything but the
-    /// DMA byte totals).
+    /// per-site byte totals).
     fn shape_matches(&self, other: &ProbeEvents) -> bool {
-        !self.unsupported
-            && !other.unsupported
-            && self.alu == other.alu
+        self.alu == other.alu
             && self.loads == other.loads
             && self.stores == other.stores
             && self.branches == other.branches
@@ -591,7 +600,29 @@ impl ProbeEvents {
             && self.barriers == other.barriers
             && self.dma.len() == other.dma.len()
             && self.dma.iter().zip(&other.dma).all(|(a, b)| a.0 == b.0)
+            && self.transfers.len() == other.transfers.len()
+            && self
+                .transfers
+                .iter()
+                .zip(&other.transfers)
+                .all(|(a, b)| (a.dir, a.parallel, a.calls) == (b.dir, b.parallel, b.calls))
     }
+}
+
+/// The total over iterations `0..n` of a per-site byte count sampled at
+/// iterations 0, 1 and n-1, or `None` when the samples are not collinear.
+/// Per-site bytes are `max(0, elems)·dtype` of an affine `elems` (or sums of
+/// those), hence convex in the iteration index: a convex function that
+/// meets a line at three points, the outer two spanning the range, is that
+/// line on the whole range, so the arithmetic series is exact.
+fn series_total(n: i64, b0: u64, b1: u64, blast: u64) -> Option<u64> {
+    let (n, b0) = (n as i128, b0 as i128);
+    let delta = b1 as i128 - b0;
+    if blast as i128 != b0 + (n - 1) * delta {
+        return None;
+    }
+    let total = n * b0 + delta * (n * (n - 1) / 2);
+    Some(u64::try_from(total).expect("negative or huge byte total"))
 }
 
 impl<'p> CompiledRunner<'p> {
@@ -985,17 +1016,18 @@ impl<'p> CompiledRunner<'p> {
     }
 
     /// Probes a summarizable loop body at iterations `0`, `1` and `n-1` and,
-    /// when the DMA byte totals extrapolate linearly, returns the closed-form
-    /// bulk events of all `n` iterations.  Returns `Ok(None)` when the loop
-    /// must be executed normally.
+    /// when the DMA and host-transfer byte totals extrapolate linearly,
+    /// returns the closed-form bulk events of all `n` iterations.  Returns
+    /// `Ok(None)` when the loop must be executed normally.
     ///
-    /// Sound because the body is branch-free (event counts can only vary
-    /// through nested-loop extents, which the shape check compares), the DMA
-    /// sizes were statically proven affine in the induction variable (so
-    /// per-site bytes are convex in the iteration index and three collinear
-    /// samples pin the whole line — sums over nested summarized loops stay
-    /// convex), and timing-only execution has no side effects beyond the
-    /// tracer.
+    /// Sound because every guard is statically monotone (so equal branch
+    /// directions at the three samples pin it constant, and event counts
+    /// can then only vary through nested-loop extents, which the shape
+    /// check compares), the DMA and transfer sizes were statically proven
+    /// affine in the induction variable (so per-site bytes are convex in the
+    /// iteration index and three collinear samples pin the whole line — sums
+    /// over nested summarized loops stay convex; see [`series_total`]), and
+    /// timing-only execution has no side effects beyond the tracer.
     fn probe_summary(
         &mut self,
         store: &mut MemoryStore,
@@ -1013,17 +1045,37 @@ impl<'p> CompiledRunner<'p> {
         if !p0.shape_matches(&p1) || !p0.shape_matches(&p2) {
             return Ok(None);
         }
-        // Verify the per-site DMA totals are collinear across the three
-        // samples; compute the arithmetic-series sum over all n iterations.
-        let mut dma_bytes: i128 = 0;
-        let mut dma_requests_per_iter: u64 = 0;
+        // Every DMA and transfer site must be collinear across the three
+        // samples; its total is the arithmetic series over all n iterations.
+        let mut dma_bytes = 0;
+        let mut dma_requests_per_iter = 0;
         for ((&(requests, b0), &(_, b1)), &(_, blast)) in p0.dma.iter().zip(&p1.dma).zip(&p2.dma) {
-            let delta = b1 as i128 - b0 as i128;
-            if blast as i128 != b0 as i128 + (n as i128 - 1) * delta {
+            let Some(total) = series_total(n, b0, b1, blast) else {
                 return Ok(None);
-            }
-            dma_bytes += n as i128 * b0 as i128 + delta * (n as i128 * (n as i128 - 1) / 2);
+            };
+            dma_bytes += total;
             dma_requests_per_iter += requests;
+        }
+        let mut transfers: Vec<TransferGroup> = Vec::new();
+        for ((s0, s1), slast) in p0.transfers.iter().zip(&p1.transfers).zip(&p2.transfers) {
+            let Some(bytes) = series_total(n, s0.bytes, s1.bytes, slast.bytes) else {
+                return Ok(None);
+            };
+            let calls = s0.calls * n as u64;
+            match transfers
+                .iter_mut()
+                .find(|g| (g.dir, g.parallel) == (s0.dir, s0.parallel))
+            {
+                Some(g) => {
+                    g.calls += calls;
+                    g.bytes += bytes;
+                }
+                None => transfers.push(TransferGroup {
+                    calls,
+                    bytes,
+                    ..*s0
+                }),
+            }
         }
         let n = n as u64;
         let mut bulk = BulkEvents {
@@ -1032,8 +1084,9 @@ impl<'p> CompiledRunner<'p> {
             loop_enters: p0.loop_enters * n,
             loop_iters: n + p0.loop_iters * n,
             dma_requests: dma_requests_per_iter * n,
-            dma_bytes: u64::try_from(dma_bytes).expect("negative or huge DMA byte total"),
+            dma_bytes,
             barriers: p0.barriers * n,
+            transfers,
             ..BulkEvents::default()
         };
         let group = |groups: &mut Vec<(crate::buffer::MemScope, usize, u64)>,
@@ -1265,6 +1318,57 @@ mod tests {
         };
         assert_equivalent(&prog, setup, ExecMode::Functional);
         assert_equivalent(&prog, setup, ExecMode::TimingOnly);
+    }
+
+    /// A two-level transfer nest long enough to summarize at both levels,
+    /// mixing directions and `parallel` flags in one body: the row loop's
+    /// batch lands in the DPU loop's probe as one aggregated site per
+    /// `(dir, parallel)`, with sizes affine in both induction variables.
+    #[test]
+    fn summarized_transfer_nests_are_equivalent() {
+        let global = Buffer::new("G", DType::F32, vec![4 * 16 * 24], MemScope::Global);
+        let back = Buffer::new("B", DType::F32, vec![4 * 16 * 24], MemScope::Global);
+        let mram = Buffer::new("M", DType::F32, vec![16 * 24], MemScope::Mram);
+        let d = Var::new("d");
+        let r = Var::new("r");
+        let tile = |global: &Arc<Buffer>, dir, elems: Expr, parallel| Stmt::HostTransfer {
+            dir,
+            dpu: Expr::var(&d).floormod(Expr::int(4)),
+            global: global.clone(),
+            global_off: Expr::var(&d)
+                .floormod(Expr::int(4))
+                .mul(Expr::int(16))
+                .add(Expr::var(&r))
+                .mul(Expr::int(24)),
+            mram: mram.clone(),
+            mram_off: Expr::var(&r).mul(Expr::int(24)),
+            elems,
+            parallel,
+        };
+        let body = Stmt::seq(vec![
+            tile(
+                &global,
+                TransferDir::H2D,
+                Expr::var(&r).add(Expr::int(1)),
+                true,
+            ),
+            tile(&back, TransferDir::D2H, Expr::var(&d), false),
+            tile(&global, TransferDir::H2D, Expr::int(3), true),
+        ]);
+        let prog = Stmt::for_serial(d.clone(), 20i64, Stmt::for_serial(r.clone(), 16i64, body));
+        let setup = |store: &mut MemoryStore| {
+            let init: Vec<f32> = (0..4 * 16 * 24).map(|x| x as f32).collect();
+            store.alloc_with(&global, 0, &init);
+            store.alloc(&back, 0);
+        };
+        assert_equivalent(&prog, setup, ExecMode::Functional);
+        assert_equivalent(&prog, setup, ExecMode::TimingOnly);
+        assert_eq!(
+            CompiledProgram::compile(&prog)
+                .optimize()
+                .summarized_loops(),
+            2
+        );
     }
 
     #[test]

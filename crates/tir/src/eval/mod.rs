@@ -72,13 +72,28 @@ impl Value {
     }
 }
 
+/// Host↔DPU transfer calls sharing a direction and a `parallel` flag, with
+/// their total payload: a transfer group of a [`BulkEvents`] batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TransferGroup {
+    /// Transfer direction.
+    pub dir: TransferDir,
+    /// Whether the calls use the rank-parallel push path.
+    pub parallel: bool,
+    /// Number of transfer calls.
+    pub calls: u64,
+    /// Total bytes across all `calls`.
+    pub bytes: u64,
+}
+
 /// A batch of execution events applied at once — the closed-form summary of
 /// many loop iterations that the [`compiled`] fast path produces instead of
 /// executing each iteration (see [`CompiledProgram::optimize`]).
 ///
 /// Counts are exact; what a bulk application does *not* preserve is the
-/// interleaving of events within the summarized region (all in-tree tracers
-/// are pure counters, so they cannot observe the difference).
+/// interleaving of events within the summarized region, nor which DPU a
+/// host transfer addressed (all in-tree tracers are pure counters, so they
+/// cannot observe the difference).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BulkEvents {
     /// Total scalar ALU operations.
@@ -101,6 +116,19 @@ pub struct BulkEvents {
     pub dma_bytes: u64,
     /// Tasklet barriers.
     pub barriers: u64,
+    /// Host↔DPU transfers, one group per `(dir, parallel)` pair.
+    pub transfers: Vec<TransferGroup>,
+}
+
+/// Spreads `bytes` over `requests` events: the first takes the remainder,
+/// so the total is exact and the distribution approximately even.
+fn replay_spread(requests: u64, bytes: u64, mut event: impl FnMut(usize)) {
+    if let Some(per) = bytes.checked_div(requests) {
+        event((bytes - per * (requests - 1)) as usize);
+        for _ in 1..requests {
+            event(per as usize);
+        }
+    }
 }
 
 /// Observer of interpreter execution events.
@@ -141,9 +169,10 @@ pub trait Tracer {
     /// Many events applied at once (the summarized-loop fast path).
     ///
     /// The default replays the batch through the scalar methods, which is
-    /// exact in totals (DMA bytes are spread across the requests) but costs
-    /// one call per event — counting tracers should override this with
-    /// O(1) arithmetic.
+    /// exact in totals (DMA and transfer bytes are spread across the
+    /// requests; every replayed transfer addresses DPU 0) but costs one
+    /// call per event — counting tracers should override this with O(1)
+    /// arithmetic.
     fn bulk(&mut self, events: &BulkEvents) {
         if events.alu > 0 {
             self.alu(events.alu as usize);
@@ -168,16 +197,16 @@ pub trait Tracer {
         for _ in 0..events.loop_iters {
             self.loop_iter();
         }
-        // Exact total, approximately even distribution per request.
-        if let Some(per) = events.dma_bytes.checked_div(events.dma_requests) {
-            let first = events.dma_bytes - per * (events.dma_requests - 1);
-            self.dma(first as usize);
-            for _ in 1..events.dma_requests {
-                self.dma(per as usize);
-            }
-        }
+        replay_spread(events.dma_requests, events.dma_bytes, |bytes| {
+            self.dma(bytes)
+        });
         for _ in 0..events.barriers {
             self.barrier();
+        }
+        for g in &events.transfers {
+            replay_spread(g.calls, g.bytes, |bytes| {
+                self.host_transfer(g.dir, 0, bytes, g.parallel)
+            });
         }
     }
 }
@@ -256,6 +285,10 @@ impl Tracer for CountingTracer {
         self.dma_requests += events.dma_requests as usize;
         self.dma_bytes += events.dma_bytes as usize;
         self.barriers += events.barriers as usize;
+        for g in &events.transfers {
+            self.transfers += g.calls as usize;
+            self.transfer_bytes += g.bytes as usize;
+        }
     }
 }
 
@@ -857,6 +890,70 @@ mod tests {
         assert_eq!(tracer.loads, 16);
         assert_eq!(tracer.stores, 8);
         assert_eq!(tracer.alu_ops, 8);
+    }
+
+    /// A tracer without a `bulk` override replays a batch event by event
+    /// and must arrive at the totals the O(1) override computes.
+    #[test]
+    fn default_bulk_replay_matches_the_counting_override() {
+        struct Replayed(CountingTracer);
+        impl Tracer for Replayed {
+            fn alu(&mut self, n: usize) {
+                self.0.alu(n);
+            }
+            fn load(&mut self, scope: MemScope, bytes: usize) {
+                self.0.load(scope, bytes);
+            }
+            fn store(&mut self, scope: MemScope, bytes: usize) {
+                self.0.store(scope, bytes);
+            }
+            fn branch(&mut self, taken: bool) {
+                self.0.branch(taken);
+            }
+            fn loop_iter(&mut self) {
+                self.0.loop_iter();
+            }
+            fn dma(&mut self, bytes: usize) {
+                self.0.dma(bytes);
+            }
+            fn host_transfer(&mut self, dir: TransferDir, dpu: i64, bytes: usize, parallel: bool) {
+                self.0.host_transfer(dir, dpu, bytes, parallel);
+            }
+            fn barrier(&mut self) {
+                self.0.barrier();
+            }
+        }
+        let batch = BulkEvents {
+            alu: 7,
+            loads: vec![(MemScope::Wram, 4, 3)],
+            stores: vec![(MemScope::Mram, 4, 2)],
+            branches: 5,
+            loop_enters: 1,
+            loop_iters: 6,
+            dma_requests: 3,
+            dma_bytes: 100,
+            barriers: 2,
+            transfers: vec![
+                TransferGroup {
+                    dir: TransferDir::H2D,
+                    parallel: true,
+                    calls: 7,
+                    bytes: 1001,
+                },
+                TransferGroup {
+                    dir: TransferDir::D2H,
+                    parallel: false,
+                    calls: 1,
+                    bytes: 0,
+                },
+            ],
+        };
+        let mut replayed = Replayed(CountingTracer::default());
+        replayed.bulk(&batch);
+        let mut counted = CountingTracer::default();
+        counted.bulk(&batch);
+        assert_eq!(replayed.0, counted);
+        assert_eq!((counted.transfers, counted.transfer_bytes), (8, 1001));
     }
 
     #[test]

@@ -20,17 +20,28 @@
 //!    never writes is evaluated once per loop *entry* (untraced) and re-read
 //!    per iteration through `PushHoisted`, which bumps the ALU count the
 //!    in-loop computation would have traced.
-//! 5. **Loop summarization** — loop bodies whose DMA sizes are provably
-//!    affine in the induction variable, and whose only control flow is
-//!    well-nested inner loops plus *monotone* affine guards (`Lin < Inv`
-//!    under Lt/Le/Gt/Ge — the boundary checks of misaligned shapes), are
-//!    marked summarizable: in [`ExecMode::TimingOnly`](super::ExecMode), the
-//!    runner probes three iterations and applies the rest as one
-//!    closed-form [`BulkEvents`](super::BulkEvents) batch instead of
-//!    iterating.  Three agreeing samples at iterations 0, 1 and n-1 pin a
-//!    monotone guard constant over the whole range, so the batch stays
-//!    exact; a guard that actually flips makes the probes disagree and the
-//!    loop falls back to full execution.
+//! 5. **Loop summarization** — loop bodies whose DMA and host-transfer sizes
+//!    are provably affine in the induction variable, and whose only control
+//!    flow is well-nested inner loops plus *monotone* affine guards
+//!    (`Lin < Inv` under Lt/Le/Gt/Ge — the boundary checks of misaligned
+//!    shapes), are marked summarizable: in
+//!    [`ExecMode::TimingOnly`](super::ExecMode), the runner probes three
+//!    iterations and applies the whole loop as one closed-form
+//!    [`BulkEvents`](super::BulkEvents) batch instead of iterating.  The
+//!    invariant: the three probes at iterations 0, 1 and n-1 must record
+//!    the same event shape (guard directions, DMA and transfer *sites* in
+//!    order, with equal request counts, directions and `parallel` flags)
+//!    and per-site bytes that are collinear.  Agreeing samples pin a
+//!    monotone guard constant over the whole range, and per-site bytes are
+//!    `max(0, elems)·dtype` of an affine `elems` — the clamp makes them
+//!    convex, and a convex function collinear at those three points is
+//!    linear in between — so the batch is exact; a guard that actually
+//!    flips or a clamp that actually bites makes the probes disagree and the
+//!    loop falls back to full execution.  Whole `for dpu… for row…
+//!    transfer` nests of the host programs summarize level by level this
+//!    way; a level whose size is the misaligned tail clamp
+//!    `max(0, min(chunk, E − origin))` is not affine and keeps iterating,
+//!    with its inner loops summarized.
 //!
 //! Divergence from the unoptimized program is limited to *error paths*: a
 //! hoisted expression over an unbound variable raises its error at loop entry
@@ -518,7 +529,6 @@ fn summarizable_structure(insts: &[Inst], region: &LoopRegion) -> bool {
                 | Inst::AndShortCircuit { .. }
                 | Inst::OrShortCircuit { .. }
                 | Inst::Jump(_)
-                | Inst::HostTransfer { .. }
                 | Inst::EvalHoisted { .. }
         ) {
             return false;
@@ -549,8 +559,8 @@ fn summarizable_structure(insts: &[Inst], region: &LoopRegion) -> bool {
     true
 }
 
-/// Abstract value for the DMA-size affinity analysis: invariant across
-/// iterations, affine in the induction variable with invariant
+/// Abstract value for the DMA/transfer-size affinity analysis: invariant
+/// across iterations, affine in the induction variable with invariant
 /// coefficients, a *monotone boolean* of the induction variable (an
 /// ordering comparison of affine operands — it flips direction at most
 /// once over the iteration range), or none of these.
@@ -562,14 +572,14 @@ enum Aff {
     Other,
 }
 
-/// Verifies every `Dma` element count in the body is affine in the
-/// induction variable (`max(0, ·)` of an affine value is convex, which is
-/// what makes the runner's three-point probe sound), and every `Branch`
-/// guard condition is invariant or *monotone* affine (`Lin < Inv` under
-/// Lt/Le/Gt/Ge and their negations): a monotone boolean whose samples agree
-/// at 0, 1 and n-1 is constant on [0, n-1], so matching probes pin the
-/// whole range.  Eq/Ne comparisons on affine operands can flip twice and
-/// are rejected.
+/// Verifies every `Dma` and `HostTransfer` element count in the body is
+/// affine in the induction variable (`max(0, ·)` of an affine value is
+/// convex, which is what makes the runner's three-point probe sound), and
+/// every `Branch` guard condition is invariant or *monotone* affine
+/// (`Lin < Inv` under Lt/Le/Gt/Ge and their negations): a monotone boolean
+/// whose samples agree at 0, 1 and n-1 is constant on [0, n-1], so matching
+/// probes pin the whole range.  Eq/Ne comparisons on affine operands can
+/// flip twice and are rejected.
 fn dma_sizes_affine(insts: &[Inst], region: &LoopRegion) -> bool {
     use Aff::*;
     let iter_slot = region.slot;
@@ -656,10 +666,20 @@ fn dma_sizes_affine(insts: &[Inst], region: &LoopRegion) -> bool {
             Inst::Pop => {
                 let _ = pop(&mut stack);
             }
-            Inst::Dma { .. } => {
+            // One rule for DMA and host transfers: only the element count
+            // matters.  The offsets (and a transfer's DPU operand) are
+            // ignored — timing-only execution never dereferences them — and
+            // a transfer's `dir` and `parallel` are instruction constants.
+            Inst::Dma { .. } | Inst::HostTransfer { .. } => {
                 let elems = pop(&mut stack);
-                let _src_off = pop(&mut stack);
-                let _dst_off = pop(&mut stack);
+                let ignored = if matches!(inst, Inst::Dma { .. }) {
+                    2
+                } else {
+                    3
+                };
+                for _ in 0..ignored {
+                    pop(&mut stack);
+                }
                 if elems == Other || elems == Mono {
                     return false;
                 }
@@ -995,7 +1015,7 @@ mod tests {
     use crate::dtype::DType;
     use crate::eval::{CompiledRunner, CountingTracer, ExecMode, Interpreter, MemoryStore};
     use crate::expr::Expr;
-    use crate::stmt::Stmt;
+    use crate::stmt::{Stmt, TransferDir};
 
     /// Runs `stmt` through the tree interpreter and the optimized program,
     /// asserting identical tracer counts (and, functionally, identical
@@ -1376,6 +1396,111 @@ mod tests {
             &[],
         );
         assert_eq!(stats.loops_summarized, 0, "{stats:?}");
+    }
+
+    /// Builds `for d in 0..dpus { for r in 0..rows { h2d(elems) } }` over
+    /// buffers sized for `chunk`-element tiles; `elems` sees `(d, r)`.
+    fn transfer_nest(
+        dpus: i64,
+        rows: i64,
+        chunk: i64,
+        elems: impl Fn(&Var, &Var) -> Expr,
+    ) -> (Stmt, Arc<Buffer>, Arc<Buffer>) {
+        let global = Buffer::new("G", DType::F32, vec![dpus * rows * chunk], MemScope::Global);
+        let mram = Buffer::new("M", DType::F32, vec![rows * chunk], MemScope::Mram);
+        let d = Var::new("d");
+        let r = Var::new("r");
+        let xfer = Stmt::HostTransfer {
+            dir: TransferDir::H2D,
+            dpu: Expr::var(&d),
+            global: global.clone(),
+            global_off: Expr::var(&d)
+                .mul(Expr::int(rows))
+                .add(Expr::var(&r))
+                .mul(Expr::int(chunk)),
+            mram: mram.clone(),
+            mram_off: Expr::var(&r).mul(Expr::int(chunk)),
+            elems: elems(&d, &r),
+            parallel: true,
+        };
+        let nest = Stmt::for_serial(d, dpus, Stmt::for_serial(r, rows, xfer));
+        (nest, global, mram)
+    }
+
+    /// Counts how a program's transfers reach the tracer.
+    #[derive(Default)]
+    struct TransferArrivals {
+        scalar: usize,
+        bulk_calls: u64,
+    }
+
+    impl crate::eval::Tracer for TransferArrivals {
+        fn host_transfer(&mut self, _: TransferDir, _: i64, _: usize, _: bool) {
+            self.scalar += 1;
+        }
+        fn bulk(&mut self, events: &crate::eval::BulkEvents) {
+            self.bulk_calls += events.transfers.iter().map(|g| g.calls).sum::<u64>();
+        }
+    }
+
+    fn arrivals(stmt: &Stmt) -> TransferArrivals {
+        let mut seen = TransferArrivals::default();
+        CompiledRunner::new(&CompiledProgram::compile(stmt).optimize())
+            .run(&mut MemoryStore::new(), &mut seen, ExecMode::TimingOnly)
+            .unwrap();
+        seen
+    }
+
+    #[test]
+    fn aligned_transfer_nests_summarize_at_every_level() {
+        let (nest, global, mram) = transfer_nest(32, 16, 8, |_, _| Expr::int(8));
+        let stats = assert_optimized_equivalent(&nest, |s| s.alloc(&global, 0), &[&global, &mram]);
+        assert_eq!(stats.loops_summarized, 2, "{stats:?}");
+        // The whole nest reaches the tracer as one batch.
+        let seen = arrivals(&nest);
+        assert_eq!((seen.scalar, seen.bulk_calls), (0, 32 * 16));
+    }
+
+    #[test]
+    fn affine_transfer_sizes_summarize_with_exact_byte_totals() {
+        // Sizes grow with both loops: every level is an arithmetic series.
+        let (nest, global, mram) = transfer_nest(8, 16, 32, |d, r| {
+            Expr::var(d)
+                .mul(Expr::int(2))
+                .add(Expr::var(r))
+                .add(Expr::int(1))
+        });
+        let stats = assert_optimized_equivalent(&nest, |s| s.alloc(&global, 0), &[&global, &mram]);
+        assert_eq!(stats.loops_summarized, 2, "{stats:?}");
+        let seen = arrivals(&nest);
+        assert_eq!((seen.scalar, seen.bulk_calls), (0, 8 * 16));
+
+        // `r - 2` is statically affine but clamps to zero on the first two
+        // rows: the row loop is marked, its probe sees non-collinear bytes
+        // and iterates; the DPU loop above it still summarizes exactly.
+        let (nest, global, mram) = transfer_nest(32, 16, 16, |_, r| Expr::var(r).sub(Expr::int(2)));
+        let stats = assert_optimized_equivalent(&nest, |s| s.alloc(&global, 0), &[&global, &mram]);
+        assert_eq!(stats.loops_summarized, 2, "{stats:?}");
+
+        // `r / 2` is not affine in `r`: only the DPU loop, where it is
+        // invariant per row, is marked.
+        let (nest, global, mram) =
+            transfer_nest(32, 16, 8, |_, r| Expr::var(r).floordiv(Expr::int(2)));
+        let stats = assert_optimized_equivalent(&nest, |s| s.alloc(&global, 0), &[&global, &mram]);
+        assert_eq!(stats.loops_summarized, 1, "{stats:?}");
+    }
+
+    /// The misaligned tail clamp `max(0, min(chunk, E - d*chunk))` is not
+    /// affine in `d`: that level iterates, its row loop still summarizes.
+    #[test]
+    fn clamped_transfer_levels_iterate_with_inner_loops_summarized() {
+        let (nest, global, mram) = transfer_nest(20, 16, 8, |d, _| {
+            Expr::int(0).max(Expr::int(8).min(Expr::int(100).sub(Expr::var(d).mul(Expr::int(8)))))
+        });
+        let stats = assert_optimized_equivalent(&nest, |s| s.alloc(&global, 0), &[&global, &mram]);
+        assert_eq!(stats.loops_summarized, 1, "{stats:?}");
+        let seen = arrivals(&nest);
+        assert_eq!((seen.scalar, seen.bulk_calls), (0, 20 * 16));
     }
 
     /// Regression: a hoistable operand *preceding* a `Select` operand must

@@ -16,6 +16,9 @@ use atim_tir::{Buffer, DType, MemScope, Stmt};
 use proptest::prelude::*;
 use proptest::strategy::ValueTree;
 
+#[path = "common/transfer_nests.rs"]
+mod transfer_nests;
+
 /// Evaluates a data-free integer expression under a variable assignment.
 fn eval_int(expr: &Expr, env: &HashMap<u32, i64>) -> i64 {
     match expr {
@@ -308,5 +311,65 @@ proptest! {
             }
             prop_assert_eq!(base_tracer, opt_tracer, "kernel counts diverge on DPU {}", linear);
         }
+    }
+}
+
+/// Runs a generated transfer nest on `program`, returning the traced counts
+/// and the final contents of every buffer instance it can touch.
+fn run_transfer_nest(
+    nest: &transfer_nests::TransferNest,
+    program: &CompiledProgram,
+    mode: ExecMode,
+) -> (CountingTracer, Vec<Vec<f32>>) {
+    let mut store = MemoryStore::new();
+    let host: Vec<f32> = (0..nest.global.len()).map(|x| x as f32).collect();
+    store.alloc_with(&nest.global, 0, &host);
+    for dpu in 0..nest.dpus {
+        let tile: Vec<f32> = (0..nest.mram.len())
+            .map(|x| -((x as i64 + dpu) as f32))
+            .collect();
+        store.alloc_with(&nest.mram, dpu, &tile);
+    }
+    let mut tracer = CountingTracer::default();
+    CompiledRunner::new(program)
+        .run(&mut store, &mut tracer, mode)
+        .unwrap();
+    let memory = std::iter::once(store.read_all(&nest.global, 0))
+        .chain((0..nest.dpus).map(|dpu| store.read_all(&nest.mram, dpu)))
+        .map(|slab| slab.unwrap().to_vec())
+        .collect();
+    (tracer, memory)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The summarizer's acceptance predicate over host transfers: whatever
+    /// `optimize` marks and the three-point probe accepts counts exactly
+    /// like the unoptimized bytecode, and functional runs (which never
+    /// summarize) leave identical memory.
+    #[test]
+    fn summarized_transfer_nests_match_the_unoptimized_bytecode(seed in 0u64..u64::MAX) {
+        let nest = transfer_nests::transfer_nest(seed);
+        let reference = CompiledProgram::compile(&nest.stmt);
+        let optimized = reference.optimize();
+
+        // `Eq` guards and tail clamps must not be marked; everything else
+        // the generator draws must be.
+        let marked = optimized.summarized_loops();
+        if nest.unmarkable_levels == 0 {
+            prop_assert_eq!(marked, nest.depth, "seed {}", seed);
+        } else {
+            prop_assert!(marked <= nest.depth - nest.unmarkable_levels, "seed {}", seed);
+        }
+
+        let (ref_counts, _) = run_transfer_nest(&nest, &reference, ExecMode::TimingOnly);
+        let (opt_counts, _) = run_transfer_nest(&nest, &optimized, ExecMode::TimingOnly);
+        prop_assert_eq!(ref_counts, opt_counts, "timing-only counts, seed {}", seed);
+
+        let (ref_counts, ref_memory) = run_transfer_nest(&nest, &reference, ExecMode::Functional);
+        let (opt_counts, opt_memory) = run_transfer_nest(&nest, &optimized, ExecMode::Functional);
+        prop_assert_eq!(ref_counts, opt_counts, "functional counts, seed {}", seed);
+        prop_assert!(ref_memory == opt_memory, "final memory, seed {}", seed);
     }
 }

@@ -9,7 +9,9 @@
 //! equivalence tests only sample:
 //!
 //! * all ten workload kinds (incl. batched GEMM, attention, int8 GEMV) on
-//!   shrunken, mostly misaligned shapes,
+//!   shrunken, mostly misaligned shapes, with a check that the
+//!   transfer-bound cells really put summarized host-transfer loops in
+//!   front of the comparison,
 //! * all three resident schedule-space generators,
 //! * seeded sampled traces that pass the verifier,
 //! * compiled with the default PIM-aware passes and with none
@@ -21,6 +23,7 @@ use atim_autotune::verify_trace;
 use atim_core::prelude::*;
 use atim_core::{compile_config, compile_trace};
 use atim_sim::UpmemMachine;
+use atim_tir::eval::CompiledProgram;
 use atim_workloads::data::generate_inputs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,7 +74,7 @@ fn optimized_bytecode_matches_the_reference_on_every_workload_and_generator() {
         ..UpmemConfig::default()
     };
     let machine = UpmemMachine::new(hw.clone());
-    let shapes: [(WorkloadKind, &[i64]); 10] = [
+    let shapes: [(WorkloadKind, &[i64]); 11] = [
         (WorkloadKind::Va, &[1000]),
         (WorkloadKind::Red, &[900]),
         (WorkloadKind::Mtv, &[36, 44]),
@@ -84,15 +87,20 @@ fn optimized_bytecode_matches_the_reference_on_every_workload_and_generator() {
         // 1-byte operands: the reduction extent keeps 8-byte-aligned even
         // divisors, or the divisor-snapping space has no DMA-legal tile.
         (WorkloadKind::Qgemv, &[36, 48]),
+        // The ledger's misaligned MMTV 64×100×256, shrunk (last: the cell
+        // index seeds each cell's traces).
+        (WorkloadKind::Mmtv, &[8, 50, 32]),
     ];
-    assert_eq!(shapes.map(|(kind, _)| kind), WorkloadKind::ALL);
+    for kind in WorkloadKind::ALL {
+        assert!(shapes.iter().any(|(k, _)| *k == kind), "{kind:?} uncovered");
+    }
 
     for (w, (kind, shape)) in shapes.into_iter().enumerate() {
         let def = Workload::new(kind, shape.to_vec()).compute_def();
         for (g, id) in RESIDENT_GENERATOR_IDS.into_iter().enumerate() {
             let generator = resolve_generator(id).expect("resident id");
             let mut rng = StdRng::seed_from_u64(0xE6 + (w * 16 + g) as u64);
-            let mut compared = 0;
+            let (mut compared, mut summarized_h2d_loops) = (0, 0);
             for attempt in 0..64 {
                 if compared == TRACES_PER_CELL {
                     break;
@@ -106,6 +114,9 @@ fn optimized_bytecode_matches_the_reference_on_every_workload_and_generator() {
                     let module = compile_trace(&trace, &def, options, &hw).unwrap();
                     let what = format!("{}/{id}/{:?}/{trace}", def.name, options.opt_level);
                     assert_engines_agree(&machine, &module, &what);
+                    summarized_h2d_loops += CompiledProgram::compile(&module.lowered.h2d)
+                        .optimize()
+                        .summarized_loops();
                 }
                 compared += 1;
             }
@@ -114,6 +125,18 @@ fn optimized_bytecode_matches_the_reference_on_every_workload_and_generator() {
                 "{}/{id}: only {compared} sampled traces passed the verifier",
                 def.name
             );
+            // The comparison above is vacuous for transfer summaries unless
+            // the transfer-bound workloads' h2d programs carry some.
+            if matches!(
+                kind,
+                WorkloadKind::Mtv | WorkloadKind::Mmtv | WorkloadKind::Gemv
+            ) {
+                assert!(
+                    summarized_h2d_loops >= 1,
+                    "{}/{id}: no h2d transfer loop was marked summarizable",
+                    def.name
+                );
+            }
         }
     }
 }
