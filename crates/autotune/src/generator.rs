@@ -4,11 +4,17 @@
 //! A [`SpaceGenerator`] owns one *sketch family*: given a workload and a
 //! machine it emits traces whose `Sample*` instructions are the free
 //! decision sites the evolutionary search explores.  The default
-//! [`UpmemSketchGenerator`] reproduces ATiM's joint host/kernel sketch
-//! (Fig. 6) — the exact schedules the pre-trace `ScheduleConfig::instantiate`
-//! built, now recorded as replayable traces (an equivalence test pins this
-//! for every paper workload).  Custom workload families plug in by
-//! implementing the trait and handing it to
+//! [`UpmemSketchGenerator`] is ATiM's joint host/kernel sketch (Fig. 6).
+//! Its *structure* is the [`upmem_rules`] rule set, elaborated by the same
+//! rule engine as the `tiled` and `hw-native` spaces; what this module adds
+//! is the space's *policy* — the pre-trace tuner's knob samplers
+//! ([`ScheduleConfig::default_for`], `sample_knobs`, `mutate_knobs`), whose
+//! draws answer the rule set's sites through the `Decider` impl on
+//! `&ScheduleConfig`.  `tests/upmem_sketch_golden.rs` pins the elaborated
+//! traces against the hand-written sketch they replaced, and
+//! `tests/trace_equivalence.rs` against the independent
+//! `ScheduleConfig::instantiate` reference.  Custom workload families plug
+//! in by implementing the trait and handing it to
 //! [`crate::session::TuningSession::with_generator`] (or
 //! `SessionBuilder::space_generator` in `atim-core`).
 //!
@@ -21,14 +27,14 @@
 use std::collections::HashMap;
 
 use atim_sim::UpmemConfig;
-use atim_tir::compute::ComputeDef;
+use atim_tir::compute::{AxisKind, ComputeDef};
 use atim_tir::error::{Result, TirError};
-use atim_tir::schedule::{Attach, Binding, LoopInfo, LoopRef, Schedule};
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::sketch::upmem_rules;
 use crate::space::{mutate_knobs, sample_knobs, ScheduleConfig};
-use crate::trace::{Decision, Instruction, Trace, UPMEM_SKETCH};
+use crate::trace::{Decision, Trace, UPMEM_SKETCH};
 
 /// Canonical decision-site names of the UPMEM sketch.
 pub mod site {
@@ -138,13 +144,13 @@ impl SpaceGenerator for UpmemSketchGenerator {
 
     fn sketches(&self, def: &ComputeDef, hw: &UpmemConfig) -> Vec<Trace> {
         let base = ScheduleConfig::default_for(def, hw);
-        let mut out = vec![trace_of_config(&base, def)];
+        let mut out = vec![base.to_trace(def)];
         if self.supports_rfactor(def) {
             let rfactor = ScheduleConfig {
                 reduce_dpus: 2,
                 ..base
             };
-            out.push(trace_of_config(&rfactor, def));
+            out.push(rfactor.to_trace(def));
         }
         out
     }
@@ -163,11 +169,11 @@ impl SpaceGenerator for UpmemSketchGenerator {
             rng,
             with_rfactor,
         );
-        trace_of_config(&cfg, def)
+        cfg.to_trace(def)
     }
 
     fn mutate(&self, rng: &mut StdRng, def: &ComputeDef, hw: &UpmemConfig, base: &Trace) -> Trace {
-        let parent = match knobs_of(base) {
+        let parent = match ScheduleConfig::from_trace(base) {
             Some(cfg) => cfg,
             // A foreign trace cannot be mutated within this sketch family;
             // fall back to a fresh sample from the matching design space.
@@ -180,71 +186,12 @@ impl SpaceGenerator for UpmemSketchGenerator {
             rng,
             &parent,
         );
-        trace_of_config(&child, def)
+        child.to_trace(def)
     }
 
     fn materialize(&self, trace: &Trace, def: &ComputeDef, _hw: &UpmemConfig) -> Result<Trace> {
         materialize_upmem(trace, def)
     }
-}
-
-/// Extracts the UPMEM knob vector from a trace's decisions (the raw,
-/// unclamped values, exactly as sampled).  `None` when the trace lacks the
-/// UPMEM decision sites (a custom-generator trace).
-pub fn knobs_of(trace: &Trace) -> Option<ScheduleConfig> {
-    let mut spatial_dpus = Vec::new();
-    for (s, d) in trace.decisions() {
-        if let Some(idx) = s.strip_prefix(site::SPATIAL_DPUS_PREFIX) {
-            if idx.parse::<usize>().ok()? != spatial_dpus.len() {
-                return None;
-            }
-            spatial_dpus.push(d.as_int()?);
-        }
-    }
-    Some(ScheduleConfig {
-        spatial_dpus,
-        reduce_dpus: trace.int_decision(site::REDUCE_DPUS)?,
-        tasklets: trace.int_decision(site::TASKLETS)?,
-        cache_elems: trace.int_decision(site::CACHE_ELEMS)?,
-        use_cache: trace.bool_decision(site::USE_CACHE)?,
-        unroll: trace.bool_decision(site::UNROLL)?,
-        host_threads: usize::try_from(trace.int_decision(site::HOST_THREADS)?).ok()?,
-        parallel_transfer: trace.bool_decision(site::PARALLEL_TRANSFER)?,
-    })
-}
-
-/// The decisions-only UPMEM trace of a knob vector — the context-free
-/// `ScheduleConfig → Trace` shim v1 tuning logs load through.
-pub fn decision_trace_of(config: &ScheduleConfig) -> Trace {
-    let mut decisions: Vec<(String, Decision)> = Vec::with_capacity(config.spatial_dpus.len() + 7);
-    for (j, &d) in config.spatial_dpus.iter().enumerate() {
-        decisions.push((
-            format!("{}{j}", site::SPATIAL_DPUS_PREFIX),
-            Decision::Int(d),
-        ));
-    }
-    decisions.push((site::REDUCE_DPUS.into(), Decision::Int(config.reduce_dpus)));
-    decisions.push((site::TASKLETS.into(), Decision::Int(config.tasklets)));
-    decisions.push((site::CACHE_ELEMS.into(), Decision::Int(config.cache_elems)));
-    decisions.push((site::USE_CACHE.into(), Decision::Bool(config.use_cache)));
-    decisions.push((site::UNROLL.into(), Decision::Bool(config.unroll)));
-    decisions.push((
-        site::HOST_THREADS.into(),
-        Decision::Int(config.host_threads as i64),
-    ));
-    decisions.push((
-        site::PARALLEL_TRANSFER.into(),
-        Decision::Bool(config.parallel_transfer),
-    ));
-    Trace::from_decisions(UPMEM_SKETCH, decisions)
-}
-
-/// The fully materialized UPMEM trace of a knob vector.  When the sketch
-/// cannot instantiate for `def` (impossible factors), the decisions-only
-/// trace is returned instead — the verifier will reject it, exactly as it
-/// rejected un-instantiable `ScheduleConfig`s.
-pub fn trace_of_config(config: &ScheduleConfig, def: &ComputeDef) -> Trace {
-    record_sketch(config, def).unwrap_or_else(|_| decision_trace_of(config))
 }
 
 /// Materializes a decisions-only UPMEM trace for a workload.
@@ -253,7 +200,7 @@ pub fn trace_of_config(config: &ScheduleConfig, def: &ComputeDef) -> Trace {
 /// Fails when the trace lacks the UPMEM decision sites or the sketch cannot
 /// instantiate for `def`.
 pub fn materialize_upmem(trace: &Trace, def: &ComputeDef) -> Result<Trace> {
-    let knobs = knobs_of(trace).ok_or_else(|| {
+    let knobs = ScheduleConfig::from_trace(trace).ok_or_else(|| {
         TirError::InvalidSchedule(
             "trace lacks the UPMEM sketch decision sites; it belongs to a custom generator".into(),
         )
@@ -261,298 +208,26 @@ pub fn materialize_upmem(trace: &Trace, def: &ComputeDef) -> Result<Trace> {
     record_sketch(&knobs, def)
 }
 
-/// A [`Schedule`] wrapper that mirrors every applied primitive as a trace
-/// [`Instruction`], mapping [`LoopRef`]s to virtual registers.  Shared by
-/// [`record_sketch`] and the rule engine in [`crate::sketch`].
-pub(crate) struct SketchRecorder {
-    pub(crate) sch: Schedule,
-    pub(crate) insts: Vec<Instruction>,
-    pub(crate) regs: usize,
-    reg_of: HashMap<LoopRef, usize>,
-}
-
-impl SketchRecorder {
-    pub(crate) fn new(def: &ComputeDef) -> Self {
-        SketchRecorder {
-            sch: Schedule::new(def.clone()),
-            insts: Vec::new(),
-            regs: 0,
-            reg_of: HashMap::new(),
-        }
-    }
-
-    pub(crate) fn alloc(&mut self, l: LoopRef) -> usize {
-        let r = self.regs;
-        self.regs += 1;
-        self.reg_of.insert(l, r);
-        r
-    }
-
-    pub(crate) fn reg(&self, l: LoopRef) -> Result<usize> {
-        self.reg_of.get(&l).copied().ok_or_else(|| {
-            TirError::InvalidSchedule("sketch recorder referenced an untracked loop".into())
-        })
-    }
-
-    pub(crate) fn get_loop(&mut self, axis: usize) -> Result<LoopRef> {
-        let l = self
-            .sch
-            .loops_of_axis(axis)
-            .first()
-            .copied()
-            .ok_or_else(|| TirError::InvalidSchedule(format!("no loop iterates axis {axis}")))?;
-        let dst = self.alloc(l);
-        self.insts.push(Instruction::GetLoop { axis, dst });
-        Ok(l)
-    }
-
-    pub(crate) fn split(&mut self, l: LoopRef, factor: i64) -> Result<(LoopRef, LoopRef)> {
-        let lv = self.reg(l)?;
-        let (o, i) = self.sch.split(l, factor)?;
-        let outer = self.alloc(o);
-        let inner = self.alloc(i);
-        self.insts.push(Instruction::Split {
-            lv,
-            factor,
-            outer,
-            inner,
-        });
-        Ok((o, i))
-    }
-
-    pub(crate) fn bind(&mut self, l: LoopRef, binding: Binding) -> Result<()> {
-        let lv = self.reg(l)?;
-        self.sch.bind(l, binding)?;
-        self.insts.push(Instruction::Bind { lv, binding });
-        Ok(())
-    }
-
-    pub(crate) fn rfactor(&mut self, l: LoopRef) -> Result<()> {
-        let lv = self.reg(l)?;
-        self.sch.rfactor(l)?;
-        self.insts.push(Instruction::Rfactor { lv });
-        Ok(())
-    }
-
-    pub(crate) fn reorder(&mut self, order: &[LoopRef]) -> Result<()> {
-        let regs: Vec<usize> = order
-            .iter()
-            .map(|&l| self.reg(l))
-            .collect::<Result<Vec<_>>>()?;
-        self.sch.reorder(order)?;
-        self.insts.push(Instruction::Reorder { order: regs });
-        Ok(())
-    }
-
-    pub(crate) fn cache_read(&mut self, input: usize, at: LoopRef) -> Result<()> {
-        let reg = self.reg(at)?;
-        self.sch.cache_read(input, Attach::At(at))?;
-        self.insts.push(Instruction::CacheRead { input, at: reg });
-        Ok(())
-    }
-
-    pub(crate) fn cache_write(&mut self, at: LoopRef) -> Result<()> {
-        let reg = self.reg(at)?;
-        self.sch.cache_write(Attach::At(at))?;
-        self.insts.push(Instruction::CacheWrite { at: reg });
-        Ok(())
-    }
-
-    pub(crate) fn unroll(&mut self, l: LoopRef) -> Result<()> {
-        let lv = self.reg(l)?;
-        self.sch.unroll(l)?;
-        self.insts.push(Instruction::Unroll { lv });
-        Ok(())
-    }
-
-    pub(crate) fn parallel_host(&mut self, threads: usize) {
-        self.sch.parallel_host(threads);
-        self.insts.push(Instruction::ParallelHost { threads });
-    }
-
-    pub(crate) fn set_parallel_transfer(&mut self, enabled: bool) {
-        self.sch.set_parallel_transfer(enabled);
-        self.insts.push(Instruction::ParallelTransfer { enabled });
-    }
-
-    pub(crate) fn loop_info(&self, l: LoopRef) -> Result<&LoopInfo> {
-        self.sch.loop_info(l)
-    }
-}
-
-pub(crate) fn div_ceil(a: i64, b: i64) -> i64 {
-    (a + b - 1) / b
-}
-
-/// Records ATiM's UPMEM sketch for one knob vector as a trace — a faithful
-/// port of the original `ScheduleConfig::instantiate` (whose body is kept,
-/// deprecated, as the reference implementation the equivalence tests pin
-/// this against): DPU distribution, optional hierarchical reduction,
-/// tasklet binding, WRAM caching and post-processing parallelism.
+/// Records ATiM's UPMEM sketch for one knob vector as a trace: elaborates
+/// [`upmem_rules`] with the knobs as the decision source.  No machine is
+/// involved — the structure is a function of `(config, def)` only, which is
+/// what lets [`Trace::apply`] materialize decisions-only traces on the fly.
 ///
 /// # Errors
-/// Fails when a primitive application fails (e.g. impossible factors); such
-/// decision vectors are discarded by the verifier, as before.
+/// Fails when a primitive application fails (degenerate compute
+/// definitions); knob values themselves are clamped at their use sites.
 pub fn record_sketch(config: &ScheduleConfig, def: &ComputeDef) -> Result<Trace> {
-    let mut rec = SketchRecorder::new(def);
-    // The decision list leads the trace, in canonical site order.
-    rec.insts = decision_trace_of(config).insts().to_vec();
-
-    let spatial_axes = def.spatial_axes();
-    let reduce_axes = def.reduce_axes();
-
-    let mut grid_loops = Vec::new();
-    let mut spatial_inner = Vec::new();
-
-    // Host-to-DPU data distribution over the spatial axes.
-    for (j, &axis) in spatial_axes.iter().enumerate() {
-        let dpus = config
-            .spatial_dpus
-            .get(j)
-            .copied()
-            .unwrap_or(1)
-            .clamp(1, def.axes[axis].extent);
-        let l = rec.get_loop(axis)?;
-        if dpus > 1 {
-            let inner_extent = div_ceil(def.axes[axis].extent, dpus);
-            let (dpu, inner) = rec.split(l, inner_extent)?;
-            rec.bind(dpu, Binding::DpuX)?;
-            grid_loops.push(dpu);
-            spatial_inner.push((axis, inner));
-        } else {
-            spatial_inner.push((axis, l));
-        }
+    let mut knobs = config;
+    let trace = upmem_rules().elaborate(def, None, &mut knobs)?;
+    let rank = def.axes.iter().filter(|a| a.kind == AxisKind::Spatial);
+    if config.spatial_dpus.len() == rank.count() {
+        return Ok(trace);
     }
-
-    // Reduction strategy: hierarchical reduction across DPUs.
-    let mut reduce_inner = None;
-    if let Some(&raxis) = reduce_axes.first() {
-        let l = rec.get_loop(raxis)?;
-        if config.reduce_dpus > 1 {
-            let dpus = config.reduce_dpus.clamp(2, def.axes[raxis].extent);
-            let inner_extent = div_ceil(def.axes[raxis].extent, dpus);
-            let (r_dpu, r_in) = rec.split(l, inner_extent)?;
-            rec.rfactor(r_dpu)?;
-            rec.bind(r_dpu, Binding::DpuY)?;
-            grid_loops.push(r_dpu);
-            reduce_inner = Some((raxis, r_in));
-        } else {
-            reduce_inner = Some((raxis, l));
-        }
-    }
-
-    // Multi-level tiling: tasklets over the spatial axis with the most
-    // per-DPU work (falling back to the reduction axis for pure reductions).
-    let mut tasklet_loop = None;
-    if config.tasklets > 1 {
-        let candidate = spatial_inner
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, (_, l))| rec.loop_info(*l).map(|i| i.extent).unwrap_or(0));
-        if let Some((slot, &(axis, l))) = candidate {
-            let extent = rec.loop_info(l)?.extent;
-            if extent > 1 {
-                let per_tasklet = div_ceil(extent, config.tasklets.min(extent));
-                let (t, rest) = rec.split(l, per_tasklet)?;
-                rec.bind(t, Binding::Tasklet)?;
-                tasklet_loop = Some(t);
-                spatial_inner[slot] = (axis, rest);
-            }
-        } else if let Some((_, l)) = reduce_inner {
-            let extent = rec.loop_info(l)?.extent;
-            if extent > 1 {
-                let per_tasklet = div_ceil(extent, config.tasklets.min(extent));
-                let (t, rest) = rec.split(l, per_tasklet)?;
-                rec.bind(t, Binding::Tasklet)?;
-                tasklet_loop = Some(t);
-                reduce_inner = Some((reduce_inner.expect("checked").0, rest));
-            }
-        }
-    }
-
-    // Intra-DPU caching: split the innermost data loop by the caching tile
-    // size so the cache chunk loop exists, then attach the caching tiles
-    // there.
-    let cache_axis_loop = match reduce_inner {
-        Some((_, l)) => Some(l),
-        None => spatial_inner.last().map(|&(_, l)| l),
-    };
-    let mut cache_attach = None;
-    let mut innermost = None;
-    // When the cache split consumes a spatial inner loop, remember the
-    // original reference so the reorder below does not mention it.
-    let mut consumed = None;
-    if let Some(l) = cache_axis_loop {
-        let extent = rec.loop_info(l)?.extent;
-        let tile = config.cache_elems.clamp(1, extent.max(1));
-        if tile < extent {
-            let (outer, inner) = rec.split(l, tile)?;
-            cache_attach = Some(outer);
-            innermost = Some(inner);
-            consumed = Some(l);
-        } else {
-            cache_attach = Some(l);
-            innermost = Some(l);
-        }
-    }
-
-    // Loop order: grid loops, tasklet loop, spatial inner loops, then the
-    // cache chunk loop and the innermost loop.
-    let mut order = Vec::new();
-    order.extend(grid_loops.iter().copied());
-    if let Some(t) = tasklet_loop {
-        order.push(t);
-    }
-    for &(_, l) in &spatial_inner {
-        if Some(l) != cache_attach && Some(l) != innermost && Some(l) != consumed {
-            order.push(l);
-        }
-    }
-    if let Some(c) = cache_attach {
-        if !order.contains(&c) {
-            order.push(c);
-        }
-    }
-    if let Some(i) = innermost {
-        if !order.contains(&i) {
-            order.push(i);
-        }
-    }
-    rec.reorder(&order)?;
-
-    // Caching directives.
-    if config.use_cache {
-        if let Some(attach) = cache_attach {
-            for input in 0..def.inputs.len() {
-                rec.cache_read(input, attach)?;
-            }
-            // The output accumulator must enclose every reduction loop, so
-            // attach it at the innermost loop that is still outside the
-            // reduction: the last spatial inner loop if one exists.
-            if def.has_reduce() {
-                if let Some(&(_, spatial_attach)) = spatial_inner.last() {
-                    if rec.sch.loops().iter().any(|li| li.id == spatial_attach.0) {
-                        rec.cache_write(spatial_attach)?;
-                    }
-                }
-            } else {
-                rec.cache_write(attach)?;
-            }
-        }
-    }
-
-    // Unrolling of the innermost loop.
-    if config.unroll {
-        if let Some(inner) = innermost {
-            if cache_attach != Some(inner) {
-                rec.unroll(inner)?;
-            }
-        }
-    }
-
-    rec.parallel_host(config.host_threads);
-    rec.set_parallel_transfer(config.parallel_transfer);
-    Ok(Trace::new(UPMEM_SKETCH, rec.insts, rec.regs))
+    // A knob vector of another rank keeps its own decision list (trace
+    // identity is the decisions); only the structure follows `def`.
+    let mut insts = config.to_decision_trace().insts().to_vec();
+    insts.extend(trace.insts().iter().filter(|i| !i.is_sample()).cloned());
+    Ok(Trace::new(UPMEM_SKETCH, insts, trace.regs()))
 }
 
 #[cfg(test)]
@@ -588,8 +263,8 @@ mod tests {
             host_threads: 8,
             parallel_transfer: true,
         };
-        let trace = decision_trace_of(&cfg);
-        assert_eq!(knobs_of(&trace), Some(cfg));
+        let trace = cfg.to_decision_trace();
+        assert_eq!(ScheduleConfig::from_trace(&trace), Some(cfg));
     }
 
     #[test]
@@ -605,7 +280,7 @@ mod tests {
                     trace.apply(&def).unwrap();
                 }
                 // Knobs are always recoverable from the decisions.
-                assert!(knobs_of(&trace).is_some());
+                assert!(ScheduleConfig::from_trace(&trace).is_some());
             }
         }
     }

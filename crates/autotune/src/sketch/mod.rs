@@ -1,18 +1,23 @@
-//! Sketch-rule schedule spaces: declarative rules, two resident generators
-//! and the generator registry.
+//! Sketch-rule schedule spaces: declarative rules, the three resident rule
+//! sets and the generator registry.
 //!
-//! Where [`crate::generator::UpmemSketchGenerator`] hard-codes ATiM's UPMEM
-//! sketch (Fig. 6), this module *composes* schedule spaces from declarative
-//! [`SketchRule`]s: each rule elaborates one structural move (multi-level
-//! tiling, DPU/tasklet binding, `rfactor`, cache placement, unrolling) and
-//! declares the decision sites it leaves free.  A [`RuleSet`] runs its rules
-//! in order, asking a [`Decider`] for every site it passes, and emits a
-//! fully materialized [`Trace`] whose decision list leads the instruction
-//! stream — exactly the shape the evolutionary search, the tuning logs and
-//! the measurement fleet already understand.
+//! This module *composes* schedule spaces from declarative [`SketchRule`]s:
+//! each rule elaborates one structural move (DPU/tasklet binding, `rfactor`,
+//! multi-level tiling, cache placement, unrolling) and declares the decision
+//! sites it leaves free.  A [`RuleSet`] runs its rules in order, asking a
+//! [`Decider`] for every site it passes, and emits a fully materialized
+//! [`Trace`] whose decision list leads the instruction stream — exactly the
+//! shape the evolutionary search, the tuning logs and the measurement fleet
+//! understand.  Every resident space is such a rule set; the rules in
+//! `rules.rs` are the only place schedule structure is written.
 //!
-//! Two generators are built from rules here:
-//!
+//! * [`upmem_rules`] (`"upmem"`, the default) — ATiM's joint host/kernel
+//!   sketch (Fig. 6): `[BindSpatialDpus, RfactorReduce, BindTasklets,
+//!   CacheTile, Unroll, HostPostprocess]`.  Its sites are the eight knobs of
+//!   a [`crate::space::ScheduleConfig`], so
+//!   [`crate::generator::UpmemSketchGenerator`] keeps the pre-trace tuner's
+//!   knob samplers as its sampling *policy* and elaborates each drawn knob
+//!   vector through this rule set for the *structure*.
 //! * [`TiledSketchGenerator`] (`"tiled"`) — multi-level tiling with a
 //!   configurable depth and *per-input* cache-read placement sampled as a
 //!   decision, opening schedules the fixed-knob sketch cannot reach
@@ -33,11 +38,12 @@
 //! idempotent.
 
 mod native;
+mod recorder;
 mod rules;
 mod tiled;
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -63,21 +69,6 @@ pub trait Decider {
     /// Picks a boolean decision for `site` (`p_true` is the sampling
     /// probability; `default` the deterministic sketch value).
     fn flag(&mut self, site: &str, default: bool, p_true: f64) -> bool;
-}
-
-/// Deterministic decider: every site takes its default (the rule set's
-/// canonical sketch).
-#[derive(Debug, Default)]
-pub struct DefaultDecider;
-
-impl Decider for DefaultDecider {
-    fn int(&mut self, _site: &str, _choices: &[i64], default: i64) -> i64 {
-        default
-    }
-
-    fn flag(&mut self, _site: &str, default: bool, _p_true: f64) -> bool {
-        default
-    }
 }
 
 /// Random decider driving [`SpaceGenerator::sample`].
@@ -122,10 +113,11 @@ impl Decider for SampleDecider<'_> {
     }
 }
 
-/// Replays the decisions of an existing trace (materialization, crossover
-/// children, decisions-only traces from logs); sites the trace lacks take
-/// their defaults.
-#[derive(Debug)]
+/// Replays a fixed set of decisions — those of an existing trace
+/// (materialization, crossover children, decisions-only traces from logs)
+/// or a hand-picked few (sketch grids); every other site takes its default,
+/// so `ReplayDecider::default()` elaborates a rule set's canonical sketch.
+#[derive(Debug, Default)]
 pub struct ReplayDecider {
     decisions: HashMap<String, Decision>,
 }
@@ -136,6 +128,12 @@ impl ReplayDecider {
         ReplayDecider {
             decisions: trace.decisions().map(|(s, d)| (s.to_string(), d)).collect(),
         }
+    }
+
+    /// Fixes one more site.
+    pub fn set(mut self, site: impl Into<String>, d: Decision) -> Self {
+        self.decisions.insert(site.into(), d);
+        self
     }
 }
 
@@ -212,34 +210,24 @@ impl Decider for MutateDecider<'_> {
     }
 }
 
-/// Fixes a handful of sites, defaulting the rest — how the hardware-native
-/// generator enumerates its sketch grid.
-#[derive(Debug, Default)]
-pub(crate) struct OverlayDecider {
-    fixed: HashMap<String, Decision>,
-}
-
-impl OverlayDecider {
-    pub(crate) fn set(mut self, site: impl Into<String>, d: Decision) -> Self {
-        self.fixed.insert(site.into(), d);
-        self
-    }
-}
-
-impl Decider for OverlayDecider {
-    fn int(&mut self, site: &str, _choices: &[i64], default: i64) -> i64 {
-        self.fixed
-            .get(site)
-            .and_then(|d| d.as_int())
-            .unwrap_or(default)
-    }
-
-    fn flag(&mut self, site: &str, default: bool, _p_true: f64) -> bool {
-        self.fixed
-            .get(site)
-            .and_then(|d| d.as_bool())
-            .unwrap_or(default)
-    }
+/// The rule set of the default `"upmem"` space: ATiM's joint host/kernel
+/// sketch (Fig. 6).  Its decision sites are exactly the knobs of a
+/// [`crate::space::ScheduleConfig`], in canonical order.
+pub fn upmem_rules() -> &'static RuleSet {
+    static RULES: OnceLock<RuleSet> = OnceLock::new();
+    RULES.get_or_init(|| RuleSet {
+        tag: UPMEM_SKETCH,
+        rules: vec![
+            SketchRule::BindSpatialDpus,
+            SketchRule::RfactorReduce { fixed_site: true },
+            SketchRule::BindTasklets,
+            SketchRule::CacheTile,
+            SketchRule::Unroll,
+            SketchRule::HostPostprocess,
+        ],
+        divisors_only: false,
+        wram_fit: false,
+    })
 }
 
 /// Environment variable selecting the resident space generator by id

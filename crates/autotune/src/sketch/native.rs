@@ -10,7 +10,7 @@ use crate::generator::{site, SpaceGenerator};
 use crate::trace::{Decision, Trace};
 
 use super::rules::{RuleSet, SketchRule};
-use super::OverlayDecider;
+use super::ReplayDecider;
 
 /// Sketch tag (and generator id) of [`HardwareNativeGenerator`] traces.
 pub const HW_NATIVE_SKETCH: &str = "hw-native";
@@ -37,7 +37,7 @@ impl HardwareNativeGenerator {
                 tag: HW_NATIVE_SKETCH,
                 rules: vec![
                     SketchRule::BindSpatialDpus,
-                    SketchRule::RfactorReduce,
+                    SketchRule::RfactorReduce { fixed_site: false },
                     SketchRule::BindTasklets,
                     SketchRule::MultiLevelTile { levels: 1 },
                     SketchRule::CacheReads,
@@ -101,14 +101,14 @@ impl SpaceGenerator for HardwareNativeGenerator {
         for &dpus in &self.grid_dpus(def, hw) {
             for tasklets in [8i64, 16] {
                 for &rf in rfactors {
-                    let mut d = OverlayDecider::default()
+                    let mut d = ReplayDecider::default()
                         .set(
                             format!("{}0", site::SPATIAL_DPUS_PREFIX),
                             Decision::Int(dpus),
                         )
                         .set(site::TASKLETS, Decision::Int(tasklets))
                         .set(site::REDUCE_DPUS, Decision::Int(rf));
-                    if let Ok(t) = self.rules.elaborate(def, hw, &mut d) {
+                    if let Ok(t) = self.rules.elaborate(def, Some(hw), &mut d) {
                         out.push(t);
                     }
                     if out.len() >= 64 {

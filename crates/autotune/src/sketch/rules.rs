@@ -2,13 +2,17 @@
 //! decision source into a materialized sketch [`Trace`].
 //!
 //! Every rule records the decisions it consumes through the shared
-//! [`Decider`], then applies its structural move through the same
-//! [`SketchRecorder`] the UPMEM sketch uses — so rule-built traces replay
-//! through `Trace::apply`, the verifier and the simulator like any other.
+//! [`Decider`], then applies its structural move through the
+//! [`SketchRecorder`] — so traces replay through `Trace::apply`, the
+//! verifier and the simulator without knowing which rule set built them.
+//! All three resident spaces (`upmem`, `tiled`, `hw-native`) are rule lists
+//! over the rules below; no schedule structure is written anywhere else.
 //! Recorded decision values are never rewritten: invalid or oversized
 //! values (from crossover mixes or hand-written logs) are clamped — or, in
 //! divisor mode, snapped to the nearest even divisor — at the point of use
 //! only, which keeps elaboration idempotent over its own output.
+
+use std::borrow::Cow;
 
 use atim_sim::UpmemConfig;
 use atim_tir::compute::ComputeDef;
@@ -17,9 +21,10 @@ use atim_tir::schedule::{Binding, LoopRef};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::generator::{div_ceil, site, SketchRecorder};
+use crate::generator::site;
 use crate::trace::{Instruction, Trace};
 
+use super::recorder::SketchRecorder;
 use super::{Decider, MutateDecider, ReplayDecider, SampleDecider};
 
 /// One declarative structural move of a sketch space.
@@ -36,7 +41,12 @@ pub enum SketchRule {
     /// Hierarchical reduction: split the first reduction axis across DPUs,
     /// `rfactor` the outer loop and bind it to `DpuY` (`reduce_dpus` site;
     /// 1 = single-level reduction).
-    RfactorReduce,
+    RfactorReduce {
+        /// Declare the `reduce_dpus` site even for workloads without a
+        /// reduction axis (the UPMEM knob vector has a fixed shape, shared
+        /// with v1 tuning logs); the value is then never used.
+        fixed_site: bool,
+    },
     /// Split the widest per-DPU data loop over tasklets (`tasklets` site),
     /// falling back to the reduction loop for pure reductions.
     BindTasklets,
@@ -47,6 +57,11 @@ pub enum SketchRule {
         /// Tiling levels added below the DPU/tasklet splits.
         levels: usize,
     },
+    /// The UPMEM sketch's WRAM tile (`cache_elems` and `use_cache` sites):
+    /// split the deepest reduction loop — the last spatial loop of a
+    /// non-reducing workload — by the tile size, stage every input at the
+    /// resulting chunk loop and accumulate the output outside the reduction.
+    CacheTile,
     /// Per-input WRAM staging with a *sampled placement* (`cache.{i}`
     /// sites): 0 = stream from MRAM, 1 = attach at the deepest unbound
     /// loop, 2 = one level further out (bigger tile, fewer refills).
@@ -82,6 +97,11 @@ impl RuleSet {
     /// Elaborates the rule set for one workload, pulling every free
     /// decision from `decider`.
     ///
+    /// `hw` bounds the choice lists offered to the decider, the tasklet
+    /// count and the `wram_fit` budget; `None` is an unbounded machine, which
+    /// makes the structure a function of the decisions and `def` alone (how
+    /// the `upmem` knob vectors elaborate).
+    ///
     /// # Errors
     /// Fails when a schedule primitive cannot apply (degenerate compute
     /// definitions); decision values themselves cannot fail — they are
@@ -89,18 +109,17 @@ impl RuleSet {
     pub fn elaborate(
         &self,
         def: &ComputeDef,
-        hw: &UpmemConfig,
+        hw: Option<&UpmemConfig>,
         decider: &mut dyn Decider,
     ) -> Result<Trace> {
-        let mut e = Elab::new(def, decider);
+        let mut e = Elab::new(def, decider, self.divisors_only);
         for rule in &self.rules {
             match *rule {
-                SketchRule::BindSpatialDpus => e.bind_spatial_dpus(def, hw, self.divisors_only)?,
-                SketchRule::RfactorReduce => e.rfactor_reduce(def, self.divisors_only)?,
-                SketchRule::BindTasklets => e.bind_tasklets(hw, self.divisors_only)?,
-                SketchRule::MultiLevelTile { levels } => {
-                    e.multi_level_tile(levels, self.divisors_only)?
-                }
+                SketchRule::BindSpatialDpus => e.bind_spatial_dpus(def, hw)?,
+                SketchRule::RfactorReduce { fixed_site } => e.rfactor_reduce(def, fixed_site)?,
+                SketchRule::BindTasklets => e.bind_tasklets(hw)?,
+                SketchRule::MultiLevelTile { levels } => e.multi_level_tile(levels)?,
+                SketchRule::CacheTile => e.cache_tile(def)?,
                 SketchRule::CacheReads => e.cache_reads(def, hw, self.wram_fit)?,
                 SketchRule::CacheWrite => e.cache_write(def)?,
                 SketchRule::Unroll => e.unroll()?,
@@ -121,7 +140,7 @@ impl RuleSet {
         with_rfactor: bool,
     ) -> Trace {
         let mut d = SampleDecider::new(rng, Some(with_rfactor));
-        self.elaborate(def, hw, &mut d)
+        self.elaborate(def, Some(hw), &mut d)
             .unwrap_or_else(|_| Trace::new(self.tag, Vec::new(), 0))
     }
 
@@ -142,7 +161,7 @@ impl RuleSet {
         }
         let target = rng.gen_range(0..sites);
         let mut d = MutateDecider::new(rng, base, target);
-        self.elaborate(def, hw, &mut d)
+        self.elaborate(def, Some(hw), &mut d)
             .unwrap_or_else(|_| base.clone())
     }
 
@@ -160,25 +179,33 @@ impl RuleSet {
                 self.tag
             )));
         }
-        self.elaborate(def, hw, &mut ReplayDecider::new(trace))
+        self.elaborate(def, Some(hw), &mut ReplayDecider::new(trace))
     }
 }
 
+fn div_ceil(a: i64, b: i64) -> i64 {
+    (a + b - 1) / b
+}
+
 /// Powers of two `1, 2, 4, ... <= cap` (always contains 1).
-fn pow2_up_to(cap: i64) -> Vec<i64> {
-    let mut v = vec![1];
-    let mut x = 2;
-    while x <= cap {
-        v.push(x);
-        x *= 2;
-    }
-    v
+fn pow2_up_to(cap: i64) -> &'static [i64] {
+    static POW2: [i64; 63] = {
+        let mut table = [1i64; 63];
+        let mut i = 1;
+        while i < table.len() {
+            table[i] = table[i - 1] * 2;
+            i += 1;
+        }
+        table
+    };
+    &POW2[..=cap.max(1).ilog2() as usize]
 }
 
 /// Powers of two up to `cap` that divide `extent` evenly.
 fn even_pow2(extent: i64, cap: i64) -> Vec<i64> {
     pow2_up_to(cap)
-        .into_iter()
+        .iter()
+        .copied()
         .filter(|&c| c == 1 || (extent > 0 && extent % c == 0))
         .collect()
 }
@@ -195,6 +222,8 @@ struct Elab<'d> {
     rec: SketchRecorder,
     decider: &'d mut dyn Decider,
     decisions: Vec<Instruction>,
+    /// The rule set's divisor mode (see [`RuleSet::divisors_only`]).
+    divisors_only: bool,
     /// DPU-bound loops, in outermost order.
     grid: Vec<LoopRef>,
     /// The tasklet-bound loop, if any.
@@ -207,6 +236,9 @@ struct Elab<'d> {
     rchain: Vec<LoopRef>,
     /// The current (deepest) reduction loop.
     rcur: Option<LoopRef>,
+    /// The innermost loop of a non-reducing workload's cache tile: nests
+    /// after every other loop, where a reduction chain would be.
+    tail: Option<LoopRef>,
     /// The clamped tasklet count (WRAM footprint estimation).
     tasklets_val: i64,
     /// Final nesting order, set by the first post-tiling rule.
@@ -216,17 +248,19 @@ struct Elab<'d> {
 }
 
 impl<'d> Elab<'d> {
-    fn new(def: &ComputeDef, decider: &'d mut dyn Decider) -> Self {
+    fn new(def: &ComputeDef, decider: &'d mut dyn Decider, divisors_only: bool) -> Self {
         Elab {
             rec: SketchRecorder::new(def),
             decider,
             decisions: Vec::new(),
+            divisors_only,
             grid: Vec::new(),
             tasklet: None,
             chains: Vec::new(),
             cur: Vec::new(),
             rchain: Vec::new(),
             rcur: None,
+            tail: None,
             tasklets_val: 1,
             order: None,
             attach_used: Vec::new(),
@@ -245,21 +279,31 @@ impl<'d> Elab<'d> {
         value
     }
 
-    fn bind_spatial_dpus(
-        &mut self,
-        def: &ComputeDef,
-        hw: &UpmemConfig,
-        divisors_only: bool,
-    ) -> Result<()> {
-        let total = hw.total_dpus() as i64;
+    /// The power-of-two counts `<= cap` offered for distributing `extent`
+    /// (in divisor mode, only those dividing it evenly).
+    fn pow2_choices(&self, extent: i64, cap: i64) -> Cow<'static, [i64]> {
+        if self.divisors_only {
+            Cow::Owned(even_pow2(extent, cap))
+        } else {
+            Cow::Borrowed(pow2_up_to(cap))
+        }
+    }
+
+    /// A recorded value brought into `1..=extent` at its use site (in
+    /// divisor mode, down to the largest divisor of `extent` below it).
+    fn fit(&self, extent: i64, v: i64) -> i64 {
+        if self.divisors_only {
+            snap_divisor(extent, v)
+        } else {
+            v.clamp(1, extent.max(1))
+        }
+    }
+
+    fn bind_spatial_dpus(&mut self, def: &ComputeDef, hw: Option<&UpmemConfig>) -> Result<()> {
+        let total = hw.map_or(i64::MAX, |h| h.total_dpus() as i64);
         for (j, &axis) in def.spatial_axes().iter().enumerate() {
             let extent = def.axes[axis].extent;
-            let cap = extent.min(total);
-            let choices = if divisors_only {
-                even_pow2(extent, cap)
-            } else {
-                pow2_up_to(cap)
-            };
+            let choices = self.pow2_choices(extent, extent.min(total));
             // Default sketch: spread the first axis over up to 256 DPUs.
             let default = if j == 0 {
                 choices
@@ -277,11 +321,7 @@ impl<'d> Elab<'d> {
                 default,
             );
             let l = self.rec.get_loop(axis)?;
-            let dpus = if divisors_only {
-                snap_divisor(extent, v)
-            } else {
-                v.clamp(1, extent)
-            };
+            let dpus = self.fit(extent, v);
             self.chains.push(Vec::new());
             if dpus > 1 {
                 let (dpu, inner) = self.rec.split(l, div_ceil(extent, dpus))?;
@@ -295,23 +335,18 @@ impl<'d> Elab<'d> {
         Ok(())
     }
 
-    fn rfactor_reduce(&mut self, def: &ComputeDef, divisors_only: bool) -> Result<()> {
+    fn rfactor_reduce(&mut self, def: &ComputeDef, fixed_site: bool) -> Result<()> {
         let Some(&raxis) = def.reduce_axes().first() else {
+            if fixed_site {
+                self.decide_int(site::REDUCE_DPUS.into(), &[1], 1);
+            }
             return Ok(());
         };
         let extent = def.axes[raxis].extent;
-        let choices = if divisors_only {
-            even_pow2(extent, 64.min(extent))
-        } else {
-            pow2_up_to(64.min(extent))
-        };
+        let choices = self.pow2_choices(extent, 64.min(extent));
         let v = self.decide_int(site::REDUCE_DPUS.into(), &choices, 1);
         let l = self.rec.get_loop(raxis)?;
-        let dpus = if divisors_only {
-            snap_divisor(extent, v)
-        } else {
-            v.clamp(1, extent)
-        };
+        let dpus = self.fit(extent, v);
         if dpus > 1 {
             let (r_dpu, r_in) = self.rec.split(l, div_ceil(extent, dpus))?;
             self.rec.rfactor(r_dpu)?;
@@ -324,13 +359,11 @@ impl<'d> Elab<'d> {
         Ok(())
     }
 
-    fn bind_tasklets(&mut self, hw: &UpmemConfig, divisors_only: bool) -> Result<()> {
-        let maxt = hw.max_tasklets as i64;
-        let choices: Vec<i64> = [1, 2, 4, 8, 12, 16, 20, 24]
-            .into_iter()
-            .filter(|&t| t <= maxt)
-            .collect();
-        let v = self.decide_int(site::TASKLETS.into(), &choices, 16.min(maxt));
+    fn bind_tasklets(&mut self, hw: Option<&UpmemConfig>) -> Result<()> {
+        let maxt = hw.map_or(i64::MAX, |h| h.max_tasklets as i64);
+        const CHOICES: [i64; 8] = [1, 2, 4, 8, 12, 16, 20, 24];
+        let choices = &CHOICES[..CHOICES.partition_point(|&t| t <= maxt)];
+        let v = self.decide_int(site::TASKLETS.into(), choices, 16.min(maxt));
         self.tasklets_val = v.clamp(1, maxt);
         if self.tasklets_val <= 1 {
             return Ok(());
@@ -342,76 +375,59 @@ impl<'d> Elab<'d> {
                 .map(|i| i.extent)
                 .unwrap_or(0)
         });
-        let target = match slot {
-            Some(j) => Some(TaskletTarget::Spatial(j)),
-            None => self.rcur.map(|_| TaskletTarget::Reduce),
-        };
-        let Some(target) = target else {
+        let Some(l) = slot.map(|j| self.cur[j]).or(self.rcur) else {
             return Ok(());
-        };
-        let l = match target {
-            TaskletTarget::Spatial(j) => self.cur[j],
-            TaskletTarget::Reduce => self.rcur.expect("checked above"),
         };
         let extent = self.rec.loop_info(l)?.extent;
-        if extent <= 1 {
-            return Ok(());
-        }
-        let t = if divisors_only {
-            snap_divisor(extent, self.tasklets_val.min(extent))
-        } else {
-            self.tasklets_val.min(extent)
-        };
+        let t = self.fit(extent, self.tasklets_val);
         if t <= 1 {
             return Ok(());
         }
         let (tl, rest) = self.rec.split(l, div_ceil(extent, t))?;
         self.rec.bind(tl, Binding::Tasklet)?;
         self.tasklet = Some(tl);
-        match target {
-            TaskletTarget::Spatial(j) => self.cur[j] = rest,
-            TaskletTarget::Reduce => self.rcur = Some(rest),
+        match slot {
+            Some(j) => self.cur[j] = rest,
+            None => self.rcur = Some(rest),
         }
         Ok(())
     }
 
-    fn multi_level_tile(&mut self, levels: usize, divisors_only: bool) -> Result<()> {
+    /// One tiling level of the loop `l`: the `(outer, inner)` split by the
+    /// decided extent, `None` when that extent leaves the loop whole.
+    fn tile_level(
+        &mut self,
+        site: String,
+        lvl: usize,
+        l: LoopRef,
+    ) -> Result<Option<(LoopRef, LoopRef)>> {
         const TILE_CHOICES: [i64; 7] = [1, 2, 4, 8, 16, 32, 64];
+        // Default sketch: one level of 8-wide tiles, rest untiled.
+        let v = self.decide_int(site, &TILE_CHOICES, if lvl == 0 { 8 } else { 1 });
+        let extent = self.rec.loop_info(l)?.extent;
+        let t = self.fit(extent, v);
+        if t > 1 && t < extent {
+            Ok(Some(self.rec.split(l, t)?))
+        } else {
+            Ok(None)
+        }
+    }
+
+    fn multi_level_tile(&mut self, levels: usize) -> Result<()> {
         for j in 0..self.cur.len() {
             for lvl in 0..levels {
-                // Default sketch: one level of 8-wide tiles, rest untiled.
-                let default = if lvl == 0 { 8 } else { 1 };
-                let v = self.decide_int(format!("tile.{j}.{lvl}"), &TILE_CHOICES, default);
-                let l = self.cur[j];
-                let extent = self.rec.loop_info(l)?.extent;
-                let t = if divisors_only {
-                    snap_divisor(extent, v)
-                } else {
-                    v.clamp(1, extent.max(1))
-                };
-                if t > 1 && t < extent {
-                    let (outer, inner) = self.rec.split(l, t)?;
+                let tiled = self.tile_level(format!("tile.{j}.{lvl}"), lvl, self.cur[j])?;
+                if let Some((outer, inner)) = tiled {
                     self.chains[j].push(outer);
                     self.cur[j] = inner;
                 }
             }
         }
-        if self.rcur.is_some() {
-            for lvl in 0..levels {
-                let default = if lvl == 0 { 8 } else { 1 };
-                let v = self.decide_int(format!("rtile.{lvl}"), &TILE_CHOICES, default);
-                let l = self.rcur.expect("checked above");
-                let extent = self.rec.loop_info(l)?.extent;
-                let t = if divisors_only {
-                    snap_divisor(extent, v)
-                } else {
-                    v.clamp(1, extent.max(1))
-                };
-                if t > 1 && t < extent {
-                    let (outer, inner) = self.rec.split(l, t)?;
-                    self.rchain.push(outer);
-                    self.rcur = Some(inner);
-                }
+        for lvl in 0..levels {
+            let Some(l) = self.rcur else { break };
+            if let Some((outer, inner)) = self.tile_level(format!("rtile.{lvl}"), lvl, l)? {
+                self.rchain.push(outer);
+                self.rcur = Some(inner);
             }
         }
         Ok(())
@@ -433,8 +449,59 @@ impl<'d> Elab<'d> {
         order.extend(self.cur.iter().copied());
         order.extend(self.rchain.iter().copied());
         order.extend(self.rcur);
+        order.extend(self.tail);
         self.rec.reorder(&order)?;
         self.order = Some(order);
+        Ok(())
+    }
+
+    fn cache_tile(&mut self, def: &ComputeDef) -> Result<()> {
+        const TILE_CHOICES: [i64; 8] = [2, 4, 8, 16, 32, 64, 128, 256];
+        let v = self.decide_int(site::CACHE_ELEMS.into(), &TILE_CHOICES, 64);
+        let staged = self.decide_flag(site::USE_CACHE.into(), true, 0.9);
+        // The data loop the tile chunks: the deepest reduction loop, else
+        // the last spatial loop.
+        let Some(l) = self.rcur.or(self.cur.last().copied()) else {
+            return self.ensure_reordered();
+        };
+        let extent = self.rec.loop_info(l)?.extent;
+        let tile = v.clamp(1, extent.max(1));
+        let mut chunk = l;
+        if tile < extent {
+            let (outer, inner) = self.rec.split(l, tile)?;
+            chunk = outer;
+            if self.rcur.is_some() {
+                self.rchain.push(outer);
+                self.rcur = Some(inner);
+            } else {
+                *self
+                    .cur
+                    .last_mut()
+                    .expect("chunked loop is the last current") = outer;
+                self.tail = Some(inner);
+            }
+        }
+        self.ensure_reordered()?;
+        // The chunk loop is never unrolled, staged or not: only the inner
+        // loop of an actual tile split is.
+        self.attach_used.push(chunk);
+        if !staged {
+            return Ok(());
+        }
+        for input in 0..def.inputs.len() {
+            self.rec.cache_read(input, chunk)?;
+        }
+        // The accumulator must enclose every reduction loop: the deepest
+        // spatial loop when reducing (none for a pure reduction), else the
+        // chunk loop itself.
+        let accumulate_at = if def.has_reduce() {
+            self.cur.last().copied()
+        } else {
+            Some(chunk)
+        };
+        if let Some(at) = accumulate_at {
+            self.rec.cache_write(at)?;
+        }
         Ok(())
     }
 
@@ -466,12 +533,18 @@ impl<'d> Elab<'d> {
         Ok(elems)
     }
 
-    fn cache_reads(&mut self, def: &ComputeDef, hw: &UpmemConfig, wram_fit: bool) -> Result<()> {
+    fn cache_reads(
+        &mut self,
+        def: &ComputeDef,
+        hw: Option<&UpmemConfig>,
+        wram_fit: bool,
+    ) -> Result<()> {
         self.ensure_reordered()?;
         let cands = self.attach_candidates()?;
         // Half the WRAM is the staging budget; the rest is stack + output
         // accumulators.  Split evenly across the inputs that could stage.
-        let budget = (hw.wram_bytes as i64 / 2) / (def.inputs.len().max(1) as i64);
+        let wram = hw.map_or(i64::MAX, |h| h.wram_bytes as i64);
+        let budget = (wram / 2) / (def.inputs.len().max(1) as i64);
         for (i, input) in def.inputs.iter().enumerate() {
             let v = self.decide_int(format!("cache.{i}"), &[0, 1, 2], 1);
             let mut placement = v.clamp(0, 2) as usize;
@@ -562,18 +635,12 @@ impl<'d> Elab<'d> {
     }
 
     /// The finished trace: the decision list leads, structure follows.
-    fn finish(mut self, tag: &str) -> Trace {
-        let mut insts = std::mem::take(&mut self.decisions);
-        insts.append(&mut self.rec.insts);
+    fn finish(self, tag: &str) -> Trace {
+        let mut insts = Vec::with_capacity(self.decisions.len() + self.rec.insts.len());
+        insts.extend(self.decisions);
+        insts.extend(self.rec.insts);
         Trace::new(tag, insts, self.rec.regs)
     }
-}
-
-/// Where the tasklet split lands.
-#[derive(Clone, Copy)]
-enum TaskletTarget {
-    Spatial(usize),
-    Reduce,
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use crate::generator::{site, SpaceGenerator};
 use crate::trace::{Decision, Trace};
 
 use super::rules::{RuleSet, SketchRule};
-use super::{DefaultDecider, OverlayDecider};
+use super::ReplayDecider;
 
 /// Sketch tag (and generator id) of [`TiledSketchGenerator`] traces.
 pub const TILED_SKETCH: &str = "tiled";
@@ -36,7 +36,7 @@ impl TiledSketchGenerator {
                 tag: TILED_SKETCH,
                 rules: vec![
                     SketchRule::BindSpatialDpus,
-                    SketchRule::RfactorReduce,
+                    SketchRule::RfactorReduce { fixed_site: false },
                     SketchRule::BindTasklets,
                     SketchRule::MultiLevelTile { levels },
                     SketchRule::CacheReads,
@@ -68,17 +68,14 @@ impl SpaceGenerator for TiledSketchGenerator {
     }
 
     fn sketches(&self, def: &ComputeDef, hw: &UpmemConfig) -> Vec<Trace> {
-        let mut out = Vec::new();
-        if let Ok(t) = self.rules.elaborate(def, hw, &mut DefaultDecider) {
-            out.push(t);
-        }
+        let mut deciders = vec![ReplayDecider::default()];
         if self.supports_rfactor(def) {
-            let mut d = OverlayDecider::default().set(site::REDUCE_DPUS, Decision::Int(2));
-            if let Ok(t) = self.rules.elaborate(def, hw, &mut d) {
-                out.push(t);
-            }
+            deciders.push(ReplayDecider::default().set(site::REDUCE_DPUS, Decision::Int(2)));
         }
-        out
+        deciders
+            .iter_mut()
+            .filter_map(|d| self.rules.elaborate(def, Some(hw), d).ok())
+            .collect()
     }
 
     fn sample(

@@ -1,13 +1,19 @@
-//! The legacy knob-vector view of the UPMEM design space.
+//! The knob-vector view of the default UPMEM design space.
 //!
-//! The tuning stack searches over [`crate::trace::Trace`]s now — sampled
+//! The tuning stack searches over [`crate::trace::Trace`]s — sampled
 //! schedule traces emitted by a [`crate::generator::SpaceGenerator`].
-//! [`ScheduleConfig`] survives as the *conversion layer*: the named knob
-//! vector of the default UPMEM sketch, used to express fixed baseline
-//! configurations (PrIM, SimplePIM), to shim v1 tuning logs into traces
-//! ([`ScheduleConfig::to_decision_trace`]) and to read the knobs back out of
-//! a trace ([`ScheduleConfig::from_trace`]).  Each knob maps one-to-one onto
-//! the schedule-primitive sequences of the paper's Table 2:
+//! [`ScheduleConfig`] is the named knob vector of the default `upmem`
+//! space: the eight decision sites of the [`crate::sketch::upmem_rules`]
+//! rule set as a struct.  It carries the space's sampling *policy*
+//! (`default_for`, `sample_knobs`, `mutate_knobs` — the pre-trace tuner's
+//! distributions, draw for draw), expresses fixed baseline configurations
+//! (PrIM, SimplePIM), shims v1 tuning logs into traces
+//! ([`ScheduleConfig::to_decision_trace`]) and reads the knobs back out of a
+//! trace ([`ScheduleConfig::from_trace`]).  The schedule *structure* behind
+//! a knob vector is elaborated by the rule engine; the one hand-written copy
+//! left, [`ScheduleConfig::instantiate`], is a test reference.  Each knob
+//! maps one-to-one onto the schedule-primitive sequences of the paper's
+//! Table 2:
 //!
 //! | Decision              | Primitives it controls                                |
 //! |-----------------------|-------------------------------------------------------|
@@ -26,8 +32,9 @@ use atim_tir::error::Result;
 use atim_tir::schedule::{Attach, Binding, Schedule};
 use rand::Rng;
 
-use crate::generator;
-use crate::trace::Trace;
+use crate::generator::{record_sketch, site};
+use crate::sketch::Decider;
+use crate::trace::{Decision, Trace, UPMEM_SKETCH};
 
 /// The named knob vector of the default UPMEM sketch — one point in the
 /// joint host/kernel design space, as a struct instead of a trace.
@@ -88,7 +95,28 @@ impl ScheduleConfig {
     /// decode through this).  The result compares and hashes equal to the
     /// materialized trace of the same knobs.
     pub fn to_decision_trace(&self) -> Trace {
-        generator::decision_trace_of(self)
+        let mut decisions: Vec<(String, Decision)> =
+            Vec::with_capacity(self.spatial_dpus.len() + 7);
+        for (j, &d) in self.spatial_dpus.iter().enumerate() {
+            decisions.push((
+                format!("{}{j}", site::SPATIAL_DPUS_PREFIX),
+                Decision::Int(d),
+            ));
+        }
+        decisions.push((site::REDUCE_DPUS.into(), Decision::Int(self.reduce_dpus)));
+        decisions.push((site::TASKLETS.into(), Decision::Int(self.tasklets)));
+        decisions.push((site::CACHE_ELEMS.into(), Decision::Int(self.cache_elems)));
+        decisions.push((site::USE_CACHE.into(), Decision::Bool(self.use_cache)));
+        decisions.push((site::UNROLL.into(), Decision::Bool(self.unroll)));
+        decisions.push((
+            site::HOST_THREADS.into(),
+            Decision::Int(self.host_threads as i64),
+        ));
+        decisions.push((
+            site::PARALLEL_TRANSFER.into(),
+            Decision::Bool(self.parallel_transfer),
+        ));
+        Trace::from_decisions(UPMEM_SKETCH, decisions)
     }
 
     /// The fully materialized UPMEM trace of this knob vector for a
@@ -96,33 +124,42 @@ impl ScheduleConfig {
     /// decisions-only trace, which the verifier rejects — exactly as it
     /// rejected un-instantiable configs.
     pub fn to_trace(&self, def: &ComputeDef) -> Trace {
-        generator::trace_of_config(self, def)
+        record_sketch(self, def).unwrap_or_else(|_| self.to_decision_trace())
     }
 
-    /// Reads the knob vector back out of a trace's decisions.  `None` for
-    /// traces of custom space generators (which have no UPMEM knobs).
+    /// Reads the knob vector back out of a trace's decisions (the raw,
+    /// unclamped values, exactly as sampled).  `None` for traces of custom
+    /// space generators (which have no UPMEM knobs).
     pub fn from_trace(trace: &Trace) -> Option<Self> {
-        generator::knobs_of(trace)
+        let mut spatial_dpus = Vec::new();
+        for (s, d) in trace.decisions() {
+            if let Some(idx) = s.strip_prefix(site::SPATIAL_DPUS_PREFIX) {
+                if idx.parse::<usize>().ok()? != spatial_dpus.len() {
+                    return None;
+                }
+                spatial_dpus.push(d.as_int()?);
+            }
+        }
+        Some(ScheduleConfig {
+            spatial_dpus,
+            reduce_dpus: trace.int_decision(site::REDUCE_DPUS)?,
+            tasklets: trace.int_decision(site::TASKLETS)?,
+            cache_elems: trace.int_decision(site::CACHE_ELEMS)?,
+            use_cache: trace.bool_decision(site::USE_CACHE)?,
+            unroll: trace.bool_decision(site::UNROLL)?,
+            host_threads: usize::try_from(trace.int_decision(site::HOST_THREADS)?).ok()?,
+            parallel_transfer: trace.bool_decision(site::PARALLEL_TRANSFER)?,
+        })
     }
 
-    /// Instantiates the ATiM sketch for this configuration: a complete
-    /// schedule with DPU distribution, optional hierarchical reduction,
-    /// tasklet binding, WRAM caching and post-processing parallelism.
-    ///
-    /// This is the pre-trace reference implementation; the trace pipeline
-    /// builds the identical schedule via [`ScheduleConfig::to_trace`] +
-    /// [`Trace::apply`], and `tests/trace_equivalence.rs` pins the two
-    /// against each other for every paper workload.
+    /// Test reference, never on a production path: the ATiM sketch written
+    /// out by hand against [`Schedule`], independent of the rule engine that
+    /// [`ScheduleConfig::to_trace`] elaborates (`tests/trace_equivalence.rs`
+    /// pins the two against each other for every workload kind).
     ///
     /// # Errors
-    /// Returns an error if a primitive application fails (e.g. impossible
-    /// factors); such configurations should simply be discarded by the
-    /// caller.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `to_trace(def)` + `Trace::apply` — kept as the reference the \
-                trace equivalence tests pin against"
-    )]
+    /// Returns an error if a primitive application fails.
+    #[doc(hidden)]
     pub fn instantiate(&self, def: &ComputeDef) -> Result<Schedule> {
         let mut sch = Schedule::new(def.clone());
         let spatial_axes = def.spatial_axes();
@@ -155,8 +192,9 @@ impl ScheduleConfig {
         let mut reduce_inner = None;
         if let Some(&raxis) = reduce_axes.first() {
             let l = sch.loops_of_axis(raxis)[0];
-            if self.uses_rfactor() {
-                let dpus = self.reduce_dpus.clamp(2, def.axes[raxis].extent);
+            // An axis of extent 1 cannot be distributed: no rfactor.
+            let dpus = self.reduce_dpus.clamp(1, def.axes[raxis].extent);
+            if dpus > 1 {
                 let inner_extent = div_ceil(def.axes[raxis].extent, dpus);
                 let (r_dpu, r_in) = sch.split(l, inner_extent)?;
                 sch.rfactor(r_dpu)?;
@@ -289,6 +327,34 @@ impl ScheduleConfig {
     }
 }
 
+/// A knob vector answers the `upmem` rule set's sites directly (the inverse
+/// of [`ScheduleConfig::from_trace`]); axes the vector has no entry for get
+/// one DPU.
+impl Decider for &ScheduleConfig {
+    fn int(&mut self, name: &str, _choices: &[i64], default: i64) -> i64 {
+        if let Some(j) = name.strip_prefix(site::SPATIAL_DPUS_PREFIX) {
+            let entry = j.parse().ok().and_then(|j: usize| self.spatial_dpus.get(j));
+            return entry.copied().unwrap_or(1);
+        }
+        match name {
+            site::REDUCE_DPUS => self.reduce_dpus,
+            site::TASKLETS => self.tasklets,
+            site::CACHE_ELEMS => self.cache_elems,
+            site::HOST_THREADS => self.host_threads as i64,
+            _ => default,
+        }
+    }
+
+    fn flag(&mut self, name: &str, default: bool, _p_true: f64) -> bool {
+        match name {
+            site::USE_CACHE => self.use_cache,
+            site::UNROLL => self.unroll,
+            site::PARALLEL_TRANSFER => self.parallel_transfer,
+            _ => default,
+        }
+    }
+}
+
 fn div_ceil(a: i64, b: i64) -> i64 {
     (a + b - 1) / b
 }
@@ -390,7 +456,6 @@ fn log2_floor(v: i64) -> u32 {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::generator::{SpaceGenerator, UpmemSketchGenerator};

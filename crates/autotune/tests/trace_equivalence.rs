@@ -1,17 +1,19 @@
-//! Pins the trace migration against the pre-trace implementation:
+//! Pins the rule engine against an independent implementation:
 //!
-//! 1. **Schedule equivalence** — for every paper workload, the traces the
-//!    `UpmemSketchGenerator` materializes instantiate the *same schedules*
-//!    (same lowered programs, structurally identical) as the original
-//!    `ScheduleConfig::instantiate`, whose body is kept verbatim as the
-//!    deprecated reference.
+//! 1. **Schedule equivalence** — for every workload kind, the traces the
+//!    `UpmemSketchGenerator` elaborates through the `upmem` rule set
+//!    instantiate the *same schedules* (same lowered programs, structurally
+//!    identical) as `ScheduleConfig::instantiate` — the sketch written out
+//!    by hand against `Schedule`, sharing no code with the rule engine.
+//!    (Until the `upmem` space became a rule set this compared two copies
+//!    of the same hand-written text; `upmem_sketch_golden.rs` keeps the
+//!    deleted copy's output as a fixture.)
 //! 2. **Tuned-result equivalence** — for a fixed seed, the trace-based
 //!    `TuningSession` drives the *identical search trajectory* (same
 //!    candidates in the same order, same latencies, same best, same
 //!    failure/rejection counters) as a faithful reimplementation of the
-//!    pre-trace tuning loop over `ScheduleConfig`s.
-
-#![allow(deprecated)]
+//!    pre-trace tuning loop over `ScheduleConfig`s, verified through
+//!    `instantiate`.
 
 use atim_autotune::cost_model::{featurize_config, CostModel, NUM_FEATURES};
 use atim_autotune::session::{Budget, NullObserver, TuningSession};
@@ -111,15 +113,20 @@ fn paper_workloads() -> Vec<ComputeDef> {
         ComputeDef::ttv("ttv", 6, 96, 64),
         ComputeDef::geva("geva", 10_000, 1.5, -0.5),
         ComputeDef::gemv("gemv", 384, 640, 2.0),
+        ComputeDef::bgemm("bgemm", 4, 16, 16, 32),
+        ComputeDef::attn("attn", 8, 32, 64),
+        ComputeDef::qgemv("qgemv", 128, 160),
         // Deliberately awkward, misaligned shapes.
         ComputeDef::mtv("mtv_odd", 33, 47),
         ComputeDef::gemv("gemv_odd", 97, 103, 0.5),
+        ComputeDef::bgemm("bgemm_odd", 3, 10, 7, 20),
+        ComputeDef::attn("attn_odd", 5, 12, 24),
     ]
 }
 
-/// Every sampled knob vector, applied through the recorded trace, must
-/// produce the identical lowered program as the original `instantiate` —
-/// and un-instantiable vectors must fail on both paths.
+/// Every sampled knob vector, applied through the rule-built trace, must
+/// produce the identical lowered program as the hand-written `instantiate`
+/// — and un-instantiable vectors must fail on both paths.
 #[test]
 fn traces_instantiate_the_same_schedules_as_schedule_config() {
     let hw = UpmemConfig::default();
@@ -437,5 +444,43 @@ fn fixed_seed_tuning_matches_the_pre_trace_tuner() {
         let (old_best, old_lat) = old.best.expect("search succeeds");
         assert_eq!(ScheduleConfig::from_trace(&new_best), Some(old_best));
         assert_eq!(new_lat.to_bits(), old_lat.to_bits());
+    }
+}
+
+/// A reduction axis of extent 1 cannot be distributed: the rule engine and
+/// the reference both degrade to "no rfactor" (both hand-written copies used
+/// to `clamp(2, 1)` and abort the tuner), and a whole quick search over such
+/// a workload runs to completion.
+#[test]
+fn reduce_axis_of_extent_one_degrades_to_no_rfactor() {
+    let hw = UpmemConfig::default();
+    for def in [ComputeDef::mtv("m", 8, 1), ComputeDef::red("r", 1)] {
+        let mut rng = StdRng::seed_from_u64(0x0E);
+        for trial in 0..16 {
+            let sampled = UpmemSketchGenerator.sample(&mut rng, &def, &hw, true);
+            let trace = if trial % 2 == 0 {
+                sampled
+            } else {
+                UpmemSketchGenerator.mutate(&mut rng, &def, &hw, &sampled)
+            };
+            let cfg = ScheduleConfig::from_trace(&trace).expect("upmem trace carries knobs");
+            let got = trace.apply(&def).expect("rule-built trace applies");
+            assert!(!got.has_rfactor(), "{}: {cfg:?}", def.name);
+            let want = cfg.instantiate(&def).expect("reference instantiates");
+            assert_eq!(
+                normalized_debug(&want),
+                normalized_debug(&got),
+                "{}: schedules diverge for {cfg:?}",
+                def.name
+            );
+        }
+
+        let mut session = TuningSession::new(&def, &hw, &TuningOptions::quick()).unwrap();
+        let f = analytic(&def);
+        let mut measure = |t: &Trace| -> Option<f64> {
+            f(&ScheduleConfig::from_trace(t).expect("upmem trace carries knobs"))
+        };
+        let result = session.run(&mut measure, &Budget::unlimited(), &mut NullObserver);
+        assert!(result.best.is_some(), "{}: search found nothing", def.name);
     }
 }

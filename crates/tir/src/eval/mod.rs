@@ -1,6 +1,6 @@
-//! Reference interpreter for loop-based TIR.
+//! Evaluation of loop-based TIR.
 //!
-//! The interpreter serves two purposes:
+//! Evaluation serves two purposes:
 //!
 //! 1. **Functional execution** — lowered host and kernel programs are run
 //!    against real buffer contents, so integration tests can compare results
@@ -12,16 +12,18 @@
 //!
 //! Buffers are instantiated per *DPU context*: `Global`/`HostLocal` buffers
 //! have a single instance, while `Mram`/`Wram` buffers have one instance per
-//! DPU (selected by [`Interpreter::set_dpu`]).
+//! DPU (selected by [`CompiledRunner::set_dpu`]).
 //!
-//! One measured engine, two references: the simulator measures on the
-//! [`compiled`] submodule's bytecode — a [`Stmt`] tree pre-lowered once into
-//! a flat instruction buffer with dense variable slots
-//! ([`CompiledProgram::compile`]) and then put through the
-//! event-count-preserving optimizer ([`CompiledProgram::optimize`], see
-//! [`opt`]).  The unoptimized bytecode and this tree interpreter stay as the
-//! references that engine is tested against (and the interpreter as the
-//! functional oracle).
+//! One production evaluator, two references: everything outside tests —
+//! the simulator's measurements and
+//! [`crate::schedule::execute_functional`] alike — runs on the [`compiled`]
+//! submodule's bytecode: a [`Stmt`] tree pre-lowered once into a flat
+//! instruction buffer with dense variable slots
+//! ([`CompiledProgram::compile`]), which the simulator then puts through
+//! the event-count-preserving optimizer ([`CompiledProgram::optimize`], see
+//! [`opt`]).  The unoptimized bytecode and the tree `Interpreter` in this
+//! module stay as the references that engine is tested against; the
+//! interpreter has no production caller.
 
 use std::collections::HashMap;
 
@@ -492,7 +494,10 @@ pub enum ExecMode {
     TimingOnly,
 }
 
-/// The TIR interpreter.
+/// The tree-walking TIR interpreter: the reference for `tests/proptests.rs`
+/// and the pass unit tests, never on a production path (those run
+/// [`CompiledProgram`]).
+#[doc(hidden)]
 pub struct Interpreter<'a, T: Tracer> {
     store: &'a mut MemoryStore,
     tracer: &'a mut T,

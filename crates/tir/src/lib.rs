@@ -16,12 +16,14 @@
 //!   `unroll`) repurposed for joint host/kernel optimization, plus the
 //!   lowering pass that produces per-DPU kernels, host transfer programs and
 //!   host reduction loops.
-//! * [`eval`] — one measured engine, two references.  The engine is the
-//!   optimized bytecode (`eval::CompiledProgram::compile(..).optimize()`):
-//!   a statement tree flattened once into an instruction buffer, rewritten
-//!   by an event-count-preserving optimizer and reused across every
-//!   simulated DPU.  The references it is tested against are the
-//!   unoptimized bytecode and the tree [`eval::Interpreter`].  All three
+//! * [`eval`] — one production evaluator, two references.  The evaluator
+//!   is the bytecode (`eval::CompiledProgram::compile(..)`): a statement
+//!   tree flattened once into an instruction buffer, reused across every
+//!   simulated DPU and — for measurements — rewritten by an
+//!   event-count-preserving optimizer (`.optimize()`); functional execution
+//!   ([`schedule::execute_functional`]) runs on it too.  The references it
+//!   is tested against are the unoptimized bytecode and the tree
+//!   `eval::Interpreter` (hidden: test reference only).  All three
 //!   are parameterized by a [`eval::Tracer`] so the UPMEM simulator
 //!   (`atim-sim`) can attach its cycle/instruction accounting to the exact
 //!   same execution that produces functional results.

@@ -1,23 +1,31 @@
 //! Functional execution of a [`Lowered`] program.
 //!
-//! This is a hardware-agnostic reference executor: it runs the host transfer
-//! programs, every DPU's kernel, and the host reduction in sequence using the
-//! TIR interpreter, and returns the output tensor.  The UPMEM simulator in
-//! `atim-sim` performs the same steps but attaches its timing model; keeping
-//! this simple executor here lets the `atim-tir` test-suite validate lowering
-//! correctness without depending on the simulator.
+//! This is a hardware-agnostic executor: it runs the host transfer
+//! programs, every DPU's kernel, and the host reduction in sequence on the
+//! compiled bytecode ([`CompiledProgram`]) and returns the output tensor.
+//! The UPMEM simulator in `atim-sim` performs the same steps on the same
+//! evaluator but attaches its timing model; keeping this simple executor
+//! here lets the `atim-tir` test-suite validate lowering correctness without
+//! depending on the simulator.
 
 use crate::error::Result;
-use crate::eval::{CompiledProgram, CompiledRunner, ExecMode, Interpreter, MemoryStore, NoTrace};
+use crate::eval::{CompiledProgram, CompiledRunner, ExecMode, MemoryStore, NoTrace};
+use crate::stmt::Stmt;
 
 use super::lowered::Lowered;
+
+/// Compiles and runs one host-side program (transfers, final reduction).
+fn run_host(stmt: &Stmt, store: &mut MemoryStore) -> Result<()> {
+    let program = CompiledProgram::compile(stmt);
+    CompiledRunner::new(&program).run(store, &mut NoTrace, ExecMode::Functional)
+}
 
 /// Executes a lowered program functionally and returns the output tensor.
 ///
 /// `inputs` must match the lengths declared by the compute definition.
 ///
 /// # Errors
-/// Propagates interpreter errors (out-of-bounds accesses indicate a lowering
+/// Propagates evaluator errors (out-of-bounds accesses indicate a lowering
 /// bug and surface here).
 ///
 /// # Panics
@@ -45,14 +53,9 @@ pub fn execute_functional(lowered: &Lowered, inputs: &[Vec<f32>]) -> Result<Vec<
         store.alloc(&lowered.mram_output.buf, linear);
     }
 
-    let mut tracer = NoTrace;
-
     // Host-to-DPU transfers (constant tensors first, then per-launch data).
-    {
-        let mut interp = Interpreter::new(&mut store, &mut tracer, ExecMode::Functional);
-        interp.run(&lowered.h2d_setup)?;
-        interp.run(&lowered.h2d)?;
-    }
+    run_host(&lowered.h2d_setup, &mut store)?;
+    run_host(&lowered.h2d, &mut store)?;
 
     // Kernel execution, one DPU at a time.  The kernel body is pre-lowered
     // once and the flat program reused for every DPU context.
@@ -63,19 +66,15 @@ pub fn execute_functional(lowered: &Lowered, inputs: &[Vec<f32>]) -> Result<Vec<
         for (dim, coord) in lowered.grid.dims.iter().zip(&coords) {
             runner.bind(&dim.var, *coord);
         }
-        runner.run(&mut store, &mut tracer, ExecMode::Functional)?;
+        runner.run(&mut store, &mut NoTrace, ExecMode::Functional)?;
     }
 
     // DPU-to-host transfers.
-    {
-        let mut interp = Interpreter::new(&mut store, &mut tracer, ExecMode::Functional);
-        interp.run(&lowered.d2h)?;
-    }
+    run_host(&lowered.d2h, &mut store)?;
 
     // Host final reduction.
     if let Some(reduce) = &lowered.host_reduce {
-        let mut interp = Interpreter::new(&mut store, &mut tracer, ExecMode::Functional);
-        interp.run(reduce)?;
+        run_host(reduce, &mut store)?;
     }
 
     Ok(store
