@@ -5,6 +5,8 @@
 //!
 //! This is the per-candidate unit of work the autotuner repeats thousands of
 //! times, so the ratios here translate directly into trials-per-budget.
+//! The `timing_kernel` group also runs a tail-clamped RED kernel, whose
+//! tightened chunk loop the summarizer applies in range-split pieces.
 //! The `transfer_programs` group does the same for the host-transfer
 //! programs, whose `for dpu… for row… transfer` nests the summarizer
 //! collapses level by level.
@@ -40,6 +42,37 @@ fn lowered_gemv() -> Lowered {
     session.compile_config(&cfg, &def).unwrap().lowered
 }
 
+/// The ledger's worst RED 2^20 candidate: 20 tasklets split 2^18 elements
+/// per DPU unevenly, so the PIM-aware passes tighten the 2-element cache
+/// loop to `min(2, E − origin)` and the chunk loop summarizes in pieces.
+fn lowered_red_tail_clamped() -> Lowered {
+    let session = Session::default();
+    let def = ComputeDef::red("red", 1 << 20);
+    let cfg = ScheduleConfig {
+        reduce_dpus: 4,
+        tasklets: 20,
+        cache_elems: 2,
+        use_cache: true,
+        ..ScheduleConfig::default_for(&def, &UpmemConfig::default())
+    };
+    session.compile_config(&cfg, &def).unwrap().lowered
+}
+
+/// Runs one DPU's kernel through a runner on `program`.
+fn run_kernel(lowered: &Lowered, dpu: usize, program: &CompiledProgram) -> KernelCounters {
+    let (linear, coords) = &lowered.grid.enumerate()[dpu];
+    let mut tracer = KernelCounters::default();
+    let mut runner = CompiledRunner::new(program);
+    runner.set_dpu(*linear);
+    for (dim, coord) in lowered.grid.dims.iter().zip(coords) {
+        runner.bind(&dim.var, *coord);
+    }
+    runner
+        .run(&mut MemoryStore::new(), &mut tracer, ExecMode::TimingOnly)
+        .unwrap();
+    tracer
+}
+
 /// Runs one DPU's kernel in timing-only mode through `run`, asserting it
 /// traced a non-trivial amount of work.
 fn bench_kernel_engines(c: &mut Criterion) {
@@ -49,6 +82,20 @@ fn bench_kernel_engines(c: &mut Criterion) {
     let optimized = compiled.optimize();
 
     let mut group = c.benchmark_group("timing_kernel");
+    // The tail-clamped RED kernel on its last DPU, reference vs measured.
+    let red = lowered_red_tail_clamped();
+    let last = red.grid.enumerate().len() - 1;
+    let red_compiled = CompiledProgram::compile(&red.kernel.body);
+    let red_optimized = red_compiled.optimize();
+    let expect = run_kernel(&red, last, &red_compiled);
+    assert!(expect.dma_requests >= 1 << 17, "{expect:?}");
+    assert_eq!(run_kernel(&red, last, &red_optimized), expect);
+    for (name, program) in [
+        ("red_tail_clamped/compiled", &red_compiled),
+        ("red_tail_clamped/compiled_fastpath", &red_optimized),
+    ] {
+        group.bench_function(name, |b| b.iter(|| run_kernel(&red, last, program)));
+    }
     group.bench_function("interpreter", |b| {
         b.iter(|| {
             let mut store = MemoryStore::new();
@@ -63,21 +110,7 @@ fn bench_kernel_engines(c: &mut Criterion) {
         })
     });
     for (name, program) in [("compiled", &compiled), ("compiled_fastpath", &optimized)] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut store = MemoryStore::new();
-                let mut tracer = KernelCounters::default();
-                let mut runner = CompiledRunner::new(program);
-                runner.set_dpu(linear);
-                for (dim, coord) in lowered.grid.dims.iter().zip(&coords) {
-                    runner.bind(&dim.var, *coord);
-                }
-                runner
-                    .run(&mut store, &mut tracer, ExecMode::TimingOnly)
-                    .unwrap();
-                tracer
-            })
-        });
+        group.bench_function(name, |b| b.iter(|| run_kernel(&lowered, 0, program)));
     }
     group.finish();
 }

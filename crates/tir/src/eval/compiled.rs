@@ -134,11 +134,13 @@ pub(crate) enum Inst {
 }
 
 /// The instruction range of a loop body the optimizer proved summarizable:
-/// well-nested, guarded only by monotone conditions, and with all DMA and
+/// well-nested, guarded only by monotone conditions, with directly nested
+/// loop extents invariant, affine, concave or convex, and with all DMA and
 /// host-transfer sizes affine in the induction variable (see `opt`).  In
-/// [`ExecMode::TimingOnly`], the runner executes iterations `0`, `1` and
-/// `n-1` into a scratch recorder, verifies the event deltas are linear, and
-/// applies all `n` iterations as one [`BulkEvents`] batch.
+/// [`ExecMode::TimingOnly`], the runner splits the iterations into
+/// constant-shape pieces, probes the first two and the last iteration of
+/// each into a scratch recorder, verifies the event deltas are linear, and
+/// applies each piece as one [`BulkEvents`] batch.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LoopSummary {
     /// First instruction of the loop body.
@@ -471,6 +473,11 @@ pub struct CompiledRunner<'p> {
     dpu: i64,
     /// Cached values of hoisted loop-invariant expressions.
     hoisted_vals: Vec<Option<Value>>,
+    /// Summarized pieces that ended before their loop's last iteration.
+    split_pieces: u64,
+    /// One log per active probe of the pieces applied inside it (see
+    /// `ProbeEvents::nested_pieces`).
+    probe_logs: Vec<Vec<PieceDirs>>,
 }
 
 /// Minimum extent at which a summarizable loop is worth probing: the probe
@@ -478,11 +485,20 @@ pub struct CompiledRunner<'p> {
 /// 2–8-iteration tile loops every kernel also contains) run faster straight.
 const SUMMARIZE_MIN_EXTENT: i64 = 16;
 
+/// Cap on the pieces [`CompiledRunner::summarize_pieces`] tries per loop
+/// entry; the iterations left after the last piece run normally.  Lowered
+/// kernels split into at most three pieces (a full-tile body, a tail whose
+/// clamped extent or boundary guard bites, and the empty rest), and each
+/// attempt probes at most `3 + log2(n)` iterations.
+pub(crate) const MAX_PIECE_ATTEMPTS: usize = 8;
+
+/// `(guard directions of one iteration, iterations)` of a summarized piece.
+type PieceDirs = (Vec<(bool, u64)>, i64);
+
 /// Scratch recorder for one probe iteration of a summarizable loop body.
 /// Event *counts* are fixed by the instruction sequence once the guard
-/// directions agree (nested loops with invariant extents included); only
-/// the byte totals of DMA and host-transfer *sites* can vary across
-/// iterations.  Loads/stores are run-length encoded so deeply nested bodies
+/// directions and raw nested extents agree; only the byte totals of DMA and
+/// host-transfer *sites* can vary across iterations.  Loads/stores are run-length encoded so deeply nested bodies
 /// stay compact; nested summarized loops land as one aggregated DMA site
 /// and one aggregated transfer site per `(dir, parallel)` via the
 /// [`Tracer::bulk`] override (sums of convex per-request byte functions are
@@ -497,14 +513,27 @@ struct ProbeEvents {
     /// nested summarized loops).
     branches: u64,
     /// The *direction sequence* of this body's own guard branches, RLE
-    /// encoded.  Compared verbatim across the three probes: every guard is
-    /// statically monotone, and a monotone boolean that takes the same
-    /// direction at iterations 0, 1 and n-1 is constant over the whole
-    /// range — so equal sequences pin every guard (even several per body,
-    /// including opposite-direction pairs that would alias in the anonymous
-    /// event counts) and the extrapolation stays exact.  Nested summarized
-    /// loops validate their own guards in their own probes.
+    /// encoded.  Compared verbatim across the three probes of a piece:
+    /// every guard is statically monotone, and a monotone boolean that
+    /// takes the same direction at iterations `a`, `a+1` and `b-1` is
+    /// constant on `[a, b)` — so equal sequences pin every guard (even
+    /// several per body, including opposite-direction pairs that would
+    /// alias in the anonymous event counts) and the extrapolation stays
+    /// exact.  Nested summarized pieces report theirs in `nested_pieces`.
     branch_dirs: Vec<(bool, u64)>,
+    /// The raw extents of the loop headers executed (RLE), compared
+    /// verbatim: every directly nested extent is statically invariant,
+    /// affine, concave or convex in the induction variable, and such an
+    /// integer function that agrees at iterations `a`, `a+1` and `b-1` is
+    /// constant on `[a, b)`.  Counting entered iterations instead would let
+    /// a concave extent that is `<= 0` at the probes hide a positive
+    /// stretch between them.
+    extents: Vec<(i64, u64)>,
+    /// The guard directions of every nested summarized piece, in order.  A
+    /// bulk batch carries branch counts only, so without these a nested
+    /// piece could hide guards of this loop's induction variable flipping
+    /// in opposite directions.
+    nested_pieces: Vec<PieceDirs>,
     /// `(requests, total bytes)` per DMA site in event order.
     dma: Vec<(u64, u64)>,
     loop_enters: u64,
@@ -543,6 +572,12 @@ impl Tracer for ProbeEvents {
         match self.branch_dirs.last_mut() {
             Some(last) if last.0 == taken => last.1 += 1,
             _ => self.branch_dirs.push((taken, 1)),
+        }
+    }
+    fn loop_extent(&mut self, extent: i64) {
+        match self.extents.last_mut() {
+            Some(last) if last.0 == extent => last.1 += 1,
+            _ => self.extents.push((extent, 1)),
         }
     }
     fn loop_enter(&mut self) {
@@ -595,6 +630,8 @@ impl ProbeEvents {
             && self.stores == other.stores
             && self.branches == other.branches
             && self.branch_dirs == other.branch_dirs
+            && self.extents == other.extents
+            && self.nested_pieces == other.nested_pieces
             && self.loop_enters == other.loop_enters
             && self.loop_iters == other.loop_iters
             && self.barriers == other.barriers
@@ -609,12 +646,13 @@ impl ProbeEvents {
     }
 }
 
-/// The total over iterations `0..n` of a per-site byte count sampled at
-/// iterations 0, 1 and n-1, or `None` when the samples are not collinear.
-/// Per-site bytes are `max(0, elems)·dtype` of an affine `elems` (or sums of
-/// those), hence convex in the iteration index: a convex function that
-/// meets a line at three points, the outer two spanning the range, is that
-/// line on the whole range, so the arithmetic series is exact.
+/// The total over a piece of `n` iterations of a per-site byte count
+/// sampled at its first, second and last iteration, or `None` when the
+/// samples are not collinear.  Per-site bytes are `max(0, elems)·dtype` of an
+/// affine `elems` (or sums of those), hence convex in the iteration index: a
+/// convex function that meets a line at three points, the outer two spanning
+/// the piece, is that line on the whole piece, so the arithmetic series is
+/// exact.
 fn series_total(n: i64, b0: u64, b1: u64, blast: u64) -> Option<u64> {
     let (n, b0) = (n as i128, b0 as i128);
     let delta = b1 as i128 - b0;
@@ -623,6 +661,67 @@ fn series_total(n: i64, b0: u64, b1: u64, blast: u64) -> Option<u64> {
     }
     let total = n * b0 + delta * (n * (n - 1) / 2);
     Some(u64::try_from(total).expect("negative or huge byte total"))
+}
+
+/// The closed-form events of a piece of `n` iterations whose first, second
+/// and last iterations recorded `p0`, `p1` and `plast` (equal shapes), or
+/// `None` when some DMA or transfer site's bytes are not collinear.  A
+/// one-iteration piece passes the same recording three times.
+fn piece_bulk(
+    n: i64,
+    p0: &ProbeEvents,
+    p1: &ProbeEvents,
+    plast: &ProbeEvents,
+) -> Option<BulkEvents> {
+    let mut dma_bytes = 0;
+    let mut dma_requests_per_iter = 0;
+    for ((&(requests, b0), &(_, b1)), &(_, blast)) in p0.dma.iter().zip(&p1.dma).zip(&plast.dma) {
+        dma_bytes += series_total(n, b0, b1, blast)?;
+        dma_requests_per_iter += requests;
+    }
+    let mut transfers: Vec<TransferGroup> = Vec::new();
+    for ((s0, s1), slast) in p0.transfers.iter().zip(&p1.transfers).zip(&plast.transfers) {
+        let bytes = series_total(n, s0.bytes, s1.bytes, slast.bytes)?;
+        let calls = s0.calls * n as u64;
+        match transfers
+            .iter_mut()
+            .find(|g| (g.dir, g.parallel) == (s0.dir, s0.parallel))
+        {
+            Some(g) => {
+                g.calls += calls;
+                g.bytes += bytes;
+            }
+            None => transfers.push(TransferGroup {
+                calls,
+                bytes,
+                ..*s0
+            }),
+        }
+    }
+    let n = n as u64;
+    let mut bulk = BulkEvents {
+        alu: p0.alu * n,
+        branches: p0.branches * n,
+        loop_enters: p0.loop_enters * n,
+        loop_iters: n + p0.loop_iters * n,
+        dma_requests: dma_requests_per_iter * n,
+        dma_bytes,
+        barriers: p0.barriers * n,
+        transfers,
+        ..BulkEvents::default()
+    };
+    let group = |groups: &mut Vec<(crate::buffer::MemScope, usize, u64)>,
+                 events: &[(crate::buffer::MemScope, usize, u64)]| {
+        for &(scope, bytes, count) in events {
+            match groups.iter_mut().find(|g| g.0 == scope && g.1 == bytes) {
+                Some(g) => g.2 += count * n,
+                None => groups.push((scope, bytes, count * n)),
+            }
+        }
+    };
+    group(&mut bulk.loads, &p0.loads);
+    group(&mut bulk.stores, &p0.stores);
+    Some(bulk)
 }
 
 impl<'p> CompiledRunner<'p> {
@@ -635,7 +734,16 @@ impl<'p> CompiledRunner<'p> {
             loops: Vec::with_capacity(8),
             dpu: 0,
             hoisted_vals: vec![None; prog.hoisted.len()],
+            split_pieces: 0,
+            probe_logs: Vec::new(),
         }
+    }
+
+    /// Number of timing-only loop summaries, over every run of this runner,
+    /// whose range was split: pieces accepted that ended before their loop's
+    /// last iteration (diagnostics and tests).
+    pub fn split_pieces(&self) -> u64 {
+        self.split_pieces
     }
 
     /// Selects the DPU context used to resolve MRAM/WRAM buffer instances.
@@ -788,33 +896,35 @@ impl<'p> CompiledRunner<'p> {
                     summary,
                 } => {
                     let n = self.pop().as_int();
+                    tracer.loop_extent(n);
                     tracer.loop_enter();
                     if n <= 0 {
                         pc = *loop_end;
                         continue;
                     }
+                    let prev = self.vars[*slot as usize];
+                    // Iterations before `first` were applied as bulk pieces.
+                    let mut first = 0;
                     if mode == ExecMode::TimingOnly && n >= SUMMARIZE_MIN_EXTENT {
                         if let Some(si) = summary {
                             let info = prog.summaries[*si as usize];
-                            let prev = self.vars[*slot as usize];
-                            let probed = self.probe_summary(store, *slot, n, info);
+                            let summarized = self.summarize_pieces(store, tracer, *slot, n, info);
                             self.vars[*slot as usize] = prev;
-                            if let Some(bulk) = probed? {
-                                tracer.bulk(&bulk);
+                            first = summarized?;
+                            if first == n {
                                 pc = *loop_end;
                                 continue;
                             }
                         }
                     }
-                    let prev = self.vars[*slot as usize];
                     self.loops.push(LoopFrame {
                         slot: *slot,
                         extent: n,
-                        iter: 0,
+                        iter: first,
                         prev,
                     });
                     tracer.loop_iter();
-                    self.vars[*slot as usize] = Some(0);
+                    self.vars[*slot as usize] = Some(first);
                 }
                 Inst::LoopBack { body } => {
                     let frame = self.loops.last_mut().expect("loop stack underflow");
@@ -1015,92 +1125,117 @@ impl<'p> CompiledRunner<'p> {
         Ok(stack.pop().expect("hoisted expression produced no value"))
     }
 
-    /// Probes a summarizable loop body at iterations `0`, `1` and `n-1` and,
-    /// when the DMA and host-transfer byte totals extrapolate linearly,
-    /// returns the closed-form bulk events of all `n` iterations.  Returns
-    /// `Ok(None)` when the loop must be executed normally.
+    /// Applies a summarizable loop of `n` iterations as constant-shape
+    /// pieces, each reaching `tracer` as one [`BulkEvents`] batch, and
+    /// returns the first iteration left for normal execution (`n` when the
+    /// pieces cover the whole range).
     ///
-    /// Sound because every guard is statically monotone (so equal branch
-    /// directions at the three samples pin it constant, and event counts
-    /// can then only vary through nested-loop extents, which the shape
-    /// check compares), the DMA and transfer sizes were statically proven
-    /// affine in the induction variable (so per-site bytes are convex in the
-    /// iteration index and three collinear samples pin the whole line — sums
-    /// over nested summarized loops stay convex; see [`series_total`]), and
-    /// timing-only execution has no side effects beyond the tracer.
-    fn probe_summary(
+    /// A piece starts at `lo`: iterations `lo` and `lo+1` are probed, then
+    /// `n-1`; when its shape differs from `lo`'s, bisection searches for the
+    /// last iteration that still matches.  The piece `[lo, hi)` is accepted
+    /// only on the three-point rule at `lo`, `lo+1` and `hi-1` — equal
+    /// shapes and collinear per-site bytes — so bisection is only a search,
+    /// never part of the proof.  Sound because every guard is statically
+    /// monotone and every directly nested loop extent invariant, affine,
+    /// concave or convex (an integer function of either kind that agrees at
+    /// `a`, `a+1` and `b-1` is constant on `[a, b)`, so equal shapes pin the
+    /// guard directions and event counts over the piece), per-site bytes are
+    /// convex (see [`series_total`]), and timing-only execution has no side
+    /// effects beyond the tracer.  When `lo` and `lo+1` already differ,
+    /// iteration `lo` is applied on its own and the search moves one
+    /// iteration on; a piece whose bytes are not collinear ends the
+    /// summary.  At most [`MAX_PIECE_ATTEMPTS`] pieces are tried per entry.
+    fn summarize_pieces<T: Tracer + ?Sized>(
         &mut self,
         store: &mut MemoryStore,
+        tracer: &mut T,
         slot: u32,
         n: i64,
         info: LoopSummary,
-    ) -> Result<Option<BulkEvents>> {
+    ) -> Result<i64> {
+        let mut lo = 0;
+        // A recording of iteration `lo` left over from the previous attempt.
+        let mut carried: Option<ProbeEvents> = None;
+        for _ in 0..MAX_PIECE_ATTEMPTS {
+            if n - lo < SUMMARIZE_MIN_EXTENT {
+                break;
+            }
+            let p_lo = match carried.take() {
+                Some(p) => p,
+                None => self.probe(store, slot, lo, info)?,
+            };
+            let p_next = self.probe(store, slot, lo + 1, info)?;
+            if !p_lo.shape_matches(&p_next) {
+                let bulk = piece_bulk(1, &p_lo, &p_lo, &p_lo).expect("one iteration");
+                self.apply_piece(tracer, &bulk, &p_lo, 1);
+                lo += 1;
+                carried = Some(p_next);
+                continue;
+            }
+            let p_end = self.probe(store, slot, n - 1, info)?;
+            let (hi, p_last) = if p_lo.shape_matches(&p_end) {
+                (n, Some(p_end))
+            } else {
+                // Shapes match at `good` and differ at `bad`; `None` stands
+                // for the recording of `lo+1`.
+                let (mut good, mut bad) = (lo + 1, n - 1);
+                let (mut p_good, mut p_bad) = (None, p_end);
+                while bad - good > 1 {
+                    let mid = good + (bad - good) / 2;
+                    let p = self.probe(store, slot, mid, info)?;
+                    if p_lo.shape_matches(&p) {
+                        (good, p_good) = (mid, Some(p));
+                    } else {
+                        (bad, p_bad) = (mid, p);
+                    }
+                }
+                carried = Some(p_bad);
+                (bad, p_good)
+            };
+            let p_last = p_last.as_ref().unwrap_or(&p_next);
+            let Some(bulk) = piece_bulk(hi - lo, &p_lo, &p_next, p_last) else {
+                break;
+            };
+            self.apply_piece(tracer, &bulk, &p_lo, hi - lo);
+            if hi < n {
+                self.split_pieces += 1;
+            }
+            lo = hi;
+        }
+        Ok(lo)
+    }
+
+    /// Hands a piece of `iters` iterations, whose first one recorded `p`,
+    /// to the tracer, and logs its guard directions for an enclosing probe.
+    fn apply_piece<T: Tracer + ?Sized>(
+        &mut self,
+        tracer: &mut T,
+        bulk: &BulkEvents,
+        p: &ProbeEvents,
+        iters: i64,
+    ) {
+        tracer.bulk(bulk);
+        if let Some(log) = self.probe_logs.last_mut() {
+            log.push((p.branch_dirs.clone(), iters));
+        }
+    }
+
+    /// Executes iteration `iter` of a summarizable loop body into a fresh
+    /// scratch recorder.
+    fn probe(
+        &mut self,
+        store: &mut MemoryStore,
+        slot: u32,
+        iter: i64,
+        info: LoopSummary,
+    ) -> Result<ProbeEvents> {
+        let mut probe = ProbeEvents::default();
+        self.vars[slot as usize] = Some(iter);
         let (start, end) = (info.body_start as usize, info.body_end as usize);
-        let mut probes: [ProbeEvents; 3] = Default::default();
-        for (iter, probe) in [0, 1, n - 1].into_iter().zip(probes.iter_mut()) {
-            self.vars[slot as usize] = Some(iter);
-            self.exec(store, probe, ExecMode::TimingOnly, start, end)?;
-        }
-        let [p0, p1, p2] = probes;
-        if !p0.shape_matches(&p1) || !p0.shape_matches(&p2) {
-            return Ok(None);
-        }
-        // Every DMA and transfer site must be collinear across the three
-        // samples; its total is the arithmetic series over all n iterations.
-        let mut dma_bytes = 0;
-        let mut dma_requests_per_iter = 0;
-        for ((&(requests, b0), &(_, b1)), &(_, blast)) in p0.dma.iter().zip(&p1.dma).zip(&p2.dma) {
-            let Some(total) = series_total(n, b0, b1, blast) else {
-                return Ok(None);
-            };
-            dma_bytes += total;
-            dma_requests_per_iter += requests;
-        }
-        let mut transfers: Vec<TransferGroup> = Vec::new();
-        for ((s0, s1), slast) in p0.transfers.iter().zip(&p1.transfers).zip(&p2.transfers) {
-            let Some(bytes) = series_total(n, s0.bytes, s1.bytes, slast.bytes) else {
-                return Ok(None);
-            };
-            let calls = s0.calls * n as u64;
-            match transfers
-                .iter_mut()
-                .find(|g| (g.dir, g.parallel) == (s0.dir, s0.parallel))
-            {
-                Some(g) => {
-                    g.calls += calls;
-                    g.bytes += bytes;
-                }
-                None => transfers.push(TransferGroup {
-                    calls,
-                    bytes,
-                    ..*s0
-                }),
-            }
-        }
-        let n = n as u64;
-        let mut bulk = BulkEvents {
-            alu: p0.alu * n,
-            branches: p0.branches * n,
-            loop_enters: p0.loop_enters * n,
-            loop_iters: n + p0.loop_iters * n,
-            dma_requests: dma_requests_per_iter * n,
-            dma_bytes,
-            barriers: p0.barriers * n,
-            transfers,
-            ..BulkEvents::default()
-        };
-        let group = |groups: &mut Vec<(crate::buffer::MemScope, usize, u64)>,
-                     events: &[(crate::buffer::MemScope, usize, u64)]| {
-            for &(scope, bytes, count) in events {
-                match groups.iter_mut().find(|g| g.0 == scope && g.1 == bytes) {
-                    Some(g) => g.2 += count * n,
-                    None => groups.push((scope, bytes, count * n)),
-                }
-            }
-        };
-        group(&mut bulk.loads, &p0.loads);
-        group(&mut bulk.stores, &p0.stores);
-        Ok(Some(bulk))
+        self.probe_logs.push(Vec::new());
+        let ran = self.exec(store, &mut probe, ExecMode::TimingOnly, start, end);
+        probe.nested_pieces = self.probe_logs.pop().expect("pushed above");
+        ran.map(|()| probe)
     }
 }
 

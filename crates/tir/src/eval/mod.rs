@@ -154,6 +154,14 @@ pub trait Tracer {
     fn branch(&mut self, taken: bool) {
         let _ = taken;
     }
+    /// The raw extent of a loop header about to be entered, reported just
+    /// before [`Tracer::loop_enter`] and before a non-positive extent skips
+    /// the body.  Counting tracers ignore it; the timing-only loop
+    /// summarizer compares it across probe iterations (a clamped extent
+    /// that is `<= 0` at every probe may still be positive between them).
+    fn loop_extent(&mut self, extent: i64) {
+        let _ = extent;
+    }
     /// A loop was entered (header setup).
     fn loop_enter(&mut self) {}
     /// One loop iteration (back-edge bookkeeping).
@@ -550,6 +558,7 @@ impl<'a, T: Tracer> Interpreter<'a, T> {
                 body,
             } => {
                 let n = self.eval(extent)?.as_int();
+                self.tracer.loop_extent(n);
                 self.tracer.loop_enter();
                 // Tasklet / DPU / host-parallel loops are still executed
                 // sequentially here; parallelism is accounted for by the

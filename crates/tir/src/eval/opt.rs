@@ -21,27 +21,32 @@
 //!    per iteration through `PushHoisted`, which bumps the ALU count the
 //!    in-loop computation would have traced.
 //! 5. **Loop summarization** — loop bodies whose DMA and host-transfer sizes
-//!    are provably affine in the induction variable, and whose only control
+//!    are provably affine in the induction variable, whose only control
 //!    flow is well-nested inner loops plus *monotone* affine guards
 //!    (`Lin < Inv` under Lt/Le/Gt/Ge — the boundary checks of misaligned
-//!    shapes), are marked summarizable: in
-//!    [`ExecMode::TimingOnly`](super::ExecMode), the runner probes three
-//!    iterations and applies the whole loop as one closed-form
-//!    [`BulkEvents`](super::BulkEvents) batch instead of iterating.  The
-//!    invariant: the three probes at iterations 0, 1 and n-1 must record
-//!    the same event shape (guard directions, DMA and transfer *sites* in
-//!    order, with equal request counts, directions and `parallel` flags)
-//!    and per-site bytes that are collinear.  Agreeing samples pin a
-//!    monotone guard constant over the whole range, and per-site bytes are
+//!    shapes), and whose directly nested loop extents are invariant,
+//!    affine, concave (`min` of affine values — the tightened extent
+//!    `min(chunk, E − origin)` of a misaligned tile) or convex (`max` of
+//!    affine values), are marked summarizable: in
+//!    [`ExecMode::TimingOnly`](super::ExecMode), the runner splits the
+//!    iteration range into constant-shape *pieces* and applies each as one
+//!    closed-form [`BulkEvents`](super::BulkEvents) batch instead of
+//!    iterating.  A piece `[a, b)` is accepted when the probes at
+//!    iterations `a`, `a+1` and `b-1` record the same event shape (guard
+//!    directions, raw nested extents, DMA and transfer *sites* in order,
+//!    with equal request counts, directions and `parallel` flags) and
+//!    per-site bytes that are collinear; bisection only searches for `b`.
+//!    An integer function that is monotone, concave or convex and agrees at
+//!    `a`, `a+1` and `b-1` is constant on `[a, b)`, so agreeing samples pin
+//!    every guard and nested extent over the piece; per-site bytes are
 //!    `max(0, elems)·dtype` of an affine `elems` — the clamp makes them
 //!    convex, and a convex function collinear at those three points is
-//!    linear in between — so the batch is exact; a guard that actually
-//!    flips or a clamp that actually bites makes the probes disagree and the
-//!    loop falls back to full execution.  Whole `for dpu… for row…
-//!    transfer` nests of the host programs summarize level by level this
-//!    way; a level whose size is the misaligned tail clamp
-//!    `max(0, min(chunk, E − origin))` is not affine and keeps iterating,
-//!    with its inner loops summarized.
+//!    linear in between — so the batch is exact.  Iterations that no piece
+//!    covers (a clamp that bites inside the piece, or the per-entry cap on
+//!    attempts) run normally.  Whole `for dpu… for row… transfer` nests of
+//!    the host programs summarize level by level this way; a level whose
+//!    size is the misaligned tail clamp `max(0, min(chunk, E − origin))` is
+//!    not affine and keeps iterating, with its inner loops summarized.
 //!
 //! Divergence from the unoptimized program is limited to *error paths*: a
 //! hoisted expression over an unbound variable raises its error at loop entry
@@ -516,8 +521,8 @@ fn find_loops(insts: &[Inst]) -> Vec<LoopRegion> {
 /// outer iteration are compared by the runtime probe.  Plain `Branch`
 /// guards are admitted here and then vetted by [`dma_sizes_affine`]: only
 /// *monotone* affine conditions survive, because a monotone boolean that
-/// agrees at iterations 0, 1 and n-1 is constant over the whole range —
-/// exactly what makes the three-point probe sound.  `Select` and
+/// agrees at iterations `a`, `a+1` and `b-1` is constant on `[a, b)` —
+/// exactly what makes the three-point probe of a piece sound.  `Select` and
 /// short-circuit constructs still disqualify: their value flows into
 /// arithmetic the probe cannot see.)
 fn summarizable_structure(insts: &[Inst], region: &LoopRegion) -> bool {
@@ -563,27 +568,69 @@ fn summarizable_structure(insts: &[Inst], region: &LoopRegion) -> bool {
 /// across iterations, affine in the induction variable with invariant
 /// coefficients, a *monotone boolean* of the induction variable (an
 /// ordering comparison of affine operands — it flips direction at most
-/// once over the iteration range), or none of these.
+/// once over the iteration range), *concave* (a `min` of affine values,
+/// possibly shifted by affine terms — the tightened extent
+/// `min(chunk, E − origin)` of a misaligned tile), *convex* (a `max` of
+/// affine values), or none of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Aff {
     Inv,
     Lin,
     Mono,
+    Concave,
+    Convex,
     Other,
+}
+
+impl Aff {
+    /// The negated value's class (`-concave` is convex).
+    fn neg(self) -> Aff {
+        match self {
+            Aff::Concave => Aff::Convex,
+            Aff::Convex => Aff::Concave,
+            other => other,
+        }
+    }
+
+    /// The class of `x op y` for `op` in Add/Sub/Mul/Min/Max; `Other` for
+    /// every other operator unless both operands are invariant.
+    fn binary(op: BinOp, x: Aff, y: Aff) -> Aff {
+        use Aff::*;
+        match (op, x, y) {
+            (_, Inv, Inv) => Inv,
+            (_, Other | Mono, _) | (_, _, Other | Mono) => Other,
+            (BinOp::Sub, x, y) => Aff::binary(BinOp::Add, x, y.neg()),
+            // Curvature adds up; affine terms shift it.
+            (BinOp::Add, Inv | Lin, Inv | Lin) => Lin,
+            (BinOp::Add, Inv | Lin, c) | (BinOp::Add, c, Inv | Lin) => c,
+            (BinOp::Add, c, d) if c == d => c,
+            // An invariant factor of unknown sign keeps affinity only.
+            (BinOp::Mul, Inv, Lin) | (BinOp::Mul, Lin, Inv) => Lin,
+            (BinOp::Min, Inv | Lin | Concave, Inv | Lin | Concave) => Concave,
+            (BinOp::Max, Inv | Lin | Convex, Inv | Lin | Convex) => Convex,
+            _ => Other,
+        }
+    }
 }
 
 /// Verifies every `Dma` and `HostTransfer` element count in the body is
 /// affine in the induction variable (`max(0, ·)` of an affine value is
-/// convex, which is what makes the runner's three-point probe sound), and
-/// every `Branch` guard condition is invariant or *monotone* affine
-/// (`Lin < Inv` under Lt/Le/Gt/Ge and their negations): a monotone boolean
-/// whose samples agree at 0, 1 and n-1 is constant on [0, n-1], so matching
-/// probes pin the whole range.  Eq/Ne comparisons on affine operands can
-/// flip twice and are rejected.
+/// convex, which is what makes the runner's three-point probe sound), every
+/// `Branch` guard condition is invariant or *monotone* affine (`Lin < Inv`
+/// under Lt/Le/Gt/Ge and their negations: a monotone boolean whose samples
+/// agree at `a`, `a+1` and `b-1` is constant on `[a, b)`, so matching probes
+/// pin a whole piece), and every directly nested loop extent is invariant,
+/// affine, concave or convex (the probes compare raw extents, which such a
+/// function pins the same way).  Loops nested deeper keep invariant
+/// extents: a directly nested loop may itself reach the probe as one bulk
+/// batch, which would hide their extents.  Eq/Ne comparisons on affine
+/// operands can flip twice and are rejected.
 fn dma_sizes_affine(insts: &[Inst], region: &LoopRegion) -> bool {
     use Aff::*;
     let iter_slot = region.slot;
     let mut stack: Vec<Aff> = Vec::new();
+    // Loops entered and not yet left inside the body.
+    let mut depth = 0usize;
     for inst in &insts[region.enter + 1..region.back] {
         let pop = |stack: &mut Vec<Aff>| stack.pop().unwrap_or(Other);
         match inst {
@@ -601,25 +648,7 @@ fn dma_sizes_affine(insts: &[Inst], region: &LoopRegion) -> bool {
             Inst::Binary(op) => {
                 let y = pop(&mut stack);
                 let x = pop(&mut stack);
-                stack.push(match op {
-                    BinOp::Add | BinOp::Sub => match (x, y) {
-                        (Other, _) | (_, Other) | (Mono, _) | (_, Mono) => Other,
-                        (Inv, Inv) => Inv,
-                        _ => Lin,
-                    },
-                    BinOp::Mul => match (x, y) {
-                        (Other, _) | (_, Other) | (Mono, _) | (_, Mono) | (Lin, Lin) => Other,
-                        (Inv, Inv) => Inv,
-                        _ => Lin,
-                    },
-                    _ => {
-                        if x == Inv && y == Inv {
-                            Inv
-                        } else {
-                            Other
-                        }
-                    }
-                });
+                stack.push(Aff::binary(*op, x, y));
             }
             Inst::Cmp(op) => {
                 let y = pop(&mut stack);
@@ -680,32 +709,38 @@ fn dma_sizes_affine(insts: &[Inst], region: &LoopRegion) -> bool {
                 for _ in 0..ignored {
                     pop(&mut stack);
                 }
-                if elems == Other || elems == Mono {
+                if !matches!(elems, Inv | Lin) {
                     return false;
                 }
             }
             // A guard: admissible when its condition cannot flip direction
             // more than once across the iteration range.  The runtime probe
-            // then verifies the direction actually agrees at 0, 1 and n-1,
-            // which (by monotonicity) pins it constant.
+            // then verifies the direction actually agrees at the ends of
+            // each piece, which (by monotonicity) pins it constant.
             Inst::Branch { .. } => {
                 let cond = pop(&mut stack);
                 if cond != Inv && cond != Mono {
                     return false;
                 }
             }
-            // Nested loops: the extent must be invariant across outer
-            // iterations (a varying extent would make event counts
-            // non-constant, defeating the probe before it starts).  Values
-            // of inner induction variables are `Inv` — for the j-th event of
-            // an outer iteration they are the same every outer iteration.
+            // Nested loops: a direct child's extent may vary with the
+            // induction variable as long as the probes' raw-extent
+            // comparison pins it per piece; deeper extents must be
+            // invariant.  Values of inner induction variables are `Inv` —
+            // once the extents agree, the j-th event of every iteration of
+            // a piece sees the same inner values.
             Inst::LoopEnter { .. } => {
                 let extent = pop(&mut stack);
-                if extent != Inv {
+                let admissible = match depth {
+                    0 => matches!(extent, Inv | Lin | Concave | Convex),
+                    _ => extent == Inv,
+                };
+                if !admissible {
                     return false;
                 }
+                depth += 1;
             }
-            Inst::LoopBack { .. } => {}
+            Inst::LoopBack { .. } => depth -= 1,
             Inst::AluOps { .. } | Inst::Alloc { .. } | Inst::Barrier => {}
             // Anything else contradicts `summarizable_structure`.
             _ => return false,
@@ -768,7 +803,7 @@ fn hoist_one_loop(
 ) -> bool {
     let targets = jump_targets(insts);
     for region in find_loops(insts) {
-        // Fully summarizable loops execute only three probe iterations in
+        // Fully summarizable loops execute only a few probe iterations in
         // the hot (timing) path; leave their bodies untouched so the
         // summarizer can still match them.
         if summarizable_structure(insts, &region) && dma_sizes_affine(insts, &region) {
@@ -1013,6 +1048,7 @@ mod tests {
     use super::*;
     use crate::buffer::{Buffer, MemScope, Var};
     use crate::dtype::DType;
+    use crate::eval::compiled::MAX_PIECE_ATTEMPTS;
     use crate::eval::{CompiledRunner, CountingTracer, ExecMode, Interpreter, MemoryStore};
     use crate::expr::Expr;
     use crate::stmt::{Stmt, TransferDir};
@@ -1282,7 +1318,7 @@ mod tests {
     /// (head/tail peeling) would alias in anonymous event counts: probes at
     /// 0, 1 and n-1 each see exactly one store, yet the middle iterations
     /// see none.  The probe's branch-direction sequence comparison must
-    /// detect the flip and fall back to exact execution — the equivalence
+    /// detect the flips and split the range at them — the equivalence
     /// assertion fails loudly if bulk totals were ever extrapolated.
     #[test]
     fn opposite_direction_guard_pairs_cannot_alias_the_probe() {
@@ -1299,9 +1335,10 @@ mod tests {
         let prog = Stmt::for_serial(i, 32i64, Stmt::seq(vec![head, tail]));
         let stats = assert_optimized_equivalent(&prog, |s| s.alloc(&a, 0), &[&a]);
         // Statically both guards are monotone, so the loop is *marked*; the
-        // runtime probe must reject it (directions disagree across probes),
-        // which the equivalence assertion above proved.
+        // runtime probes split it into [0, 16) and [16, 20) and iterate the
+        // last 12, which the equivalence assertion above proved exact.
         assert_eq!(stats.loops_summarized, 1, "{stats:?}");
+        assert_eq!(pieces(&prog, |s| s.alloc(&a, 0)), (2, 2));
     }
 
     /// The same-direction multi-guard pattern of real lowered kernels (one
@@ -1336,8 +1373,8 @@ mod tests {
 
     /// A guarded DMA: the guard is monotone and the transfer size affine, so
     /// the loop summarizes — and when the guard actually flips inside the
-    /// range, the runtime probe detects the diverging event shape and falls
-    /// back to full execution with identical totals.
+    /// range, the runtime probes detect the diverging event shape and split
+    /// the range at the flip with identical totals.
     #[test]
     fn guarded_dma_loops_summarize_with_exact_totals() {
         let mram = Buffer::new("M", DType::F32, vec![4096], MemScope::Mram);
@@ -1362,10 +1399,14 @@ mod tests {
             },
             &[],
         );
-        // Statically summarizable; the probe rejects it at runtime (the
-        // guard flips at i=16), which the equivalence assertion above
-        // already proved costs no exactness.
+        // The guard flips at i=16: pieces [0, 16) and [16, 32), which the
+        // equivalence assertion above already proved exact.
         assert_eq!(stats.loops_summarized, 1, "{stats:?}");
+        let setup = |s: &mut MemoryStore| {
+            s.alloc(&mram, 0);
+            s.alloc(&wram, 0);
+        };
+        assert_eq!(pieces(&prog, setup), (2, 1));
     }
 
     #[test]
@@ -1587,6 +1628,170 @@ mod tests {
             assert_eq!(tree_tracer, opt_tracer, "tracer counts diverge in {mode:?}");
             assert_eq!(tree_store.read_all(&a, 0), opt_store.read_all(&a, 0));
         }
+    }
+
+    /// Runs the optimized `stmt` timing-only, returning how many bulk
+    /// batches reached the tracer and how many pieces ended before their
+    /// loop's last iteration.
+    fn pieces(stmt: &Stmt, setup: impl Fn(&mut MemoryStore)) -> (usize, u64) {
+        struct Bulks(usize);
+        impl crate::eval::Tracer for Bulks {
+            fn bulk(&mut self, _: &crate::eval::BulkEvents) {
+                self.0 += 1;
+            }
+        }
+        let optimized = CompiledProgram::compile(stmt).optimize();
+        let mut runner = CompiledRunner::new(&optimized);
+        let mut store = MemoryStore::new();
+        setup(&mut store);
+        let mut bulks = Bulks(0);
+        runner
+            .run(&mut store, &mut bulks, ExecMode::TimingOnly)
+            .unwrap();
+        (bulks.0, runner.split_pieces())
+    }
+
+    /// A monotone guard that flips once inside a long loop: bisection finds
+    /// the flip and both sides reach the tracer as exact pieces.
+    #[test]
+    fn a_guard_flip_splits_the_loop_into_two_exact_pieces() {
+        let a = Buffer::new("A", DType::F32, vec![64], MemScope::Global);
+        let i = Var::new("i");
+        // 3·i < 100 holds for i <= 33: pieces [0, 34) and [34, 64).
+        let body = Stmt::if_then(
+            Expr::var(&i).mul(Expr::int(3)).lt(Expr::int(100)),
+            Stmt::store(&a, Expr::var(&i), Expr::float(1.0)),
+        );
+        let prog = Stmt::for_serial(i, 64i64, body);
+        let stats = assert_optimized_equivalent(&prog, |s| s.alloc(&a, 0), &[&a]);
+        assert_eq!(stats.loops_summarized, 1, "{stats:?}");
+        assert_eq!(pieces(&prog, |s| s.alloc(&a, 0)), (2, 1));
+    }
+
+    /// The misaligned tile's tightened extent `min(chunk, E − origin)` is
+    /// concave in the chunk loop: the chunk loop summarizes as one full-tile
+    /// piece and iterates only over the tail.
+    #[test]
+    fn tail_clamped_nested_extents_summarize_in_pieces() {
+        let a = Buffer::new("A", DType::F32, vec![256], MemScope::Global);
+        let i = Var::new("i");
+        let j = Var::new("j");
+        // min(2, 150 - 2·i) is 2 for i <= 74, then 0, -2, -4, ...
+        let extent = Expr::int(2).min(Expr::int(150).sub(Expr::var(&i).mul(Expr::int(2))));
+        let body = Stmt::for_serial(
+            j.clone(),
+            extent,
+            Stmt::store(
+                &a,
+                Expr::var(&i).mul(Expr::int(2)).add(Expr::var(&j)),
+                Expr::float(1.0),
+            ),
+        );
+        let prog = Stmt::for_serial(i, 100i64, body);
+        let stats = assert_optimized_equivalent(&prog, |s| s.alloc(&a, 0), &[&a]);
+        assert_eq!(stats.loops_summarized, 2, "{stats:?}");
+        // The full-tile piece [0, 75), then one-iteration pieces while 16
+        // or more iterations remain: [75, 76) … [83, 84).
+        assert_eq!(pieces(&prog, |s| s.alloc(&a, 0)), (MAX_PIECE_ATTEMPTS, 1));
+    }
+
+    /// A concave nested extent that is `<= 0` at iterations 0, 1 and n-1
+    /// but positive between them: every probe *enters* the inner loop zero
+    /// times, so comparing entered iterations would summarize the loop as
+    /// empty.  The probes compare raw extents, which differ.
+    #[test]
+    fn concave_extents_nonpositive_at_the_probes_count_exactly() {
+        let a = Buffer::new("A", DType::F32, vec![64], MemScope::Global);
+        let i = Var::new("i");
+        let j = Var::new("j");
+        let tent = Expr::var(&i)
+            .sub(Expr::int(10))
+            .min(Expr::int(30).sub(Expr::var(&i)));
+        let prog = Stmt::for_serial(
+            i,
+            40i64,
+            Stmt::for_serial(
+                j.clone(),
+                tent,
+                Stmt::store(&a, Expr::var(&j), Expr::float(1.0)),
+            ),
+        );
+        let stats = assert_optimized_equivalent(&prog, |s| s.alloc(&a, 0), &[&a]);
+        assert_eq!(stats.loops_summarized, 2, "{stats:?}");
+    }
+
+    /// A triangular nest (the inner extent is the outer induction variable)
+    /// never repeats a shape: each attempt applies one iteration, and after
+    /// `MAX_PIECE_ATTEMPTS` the rest of the loop runs normally — exactly.
+    #[test]
+    fn triangular_loops_stay_exact_and_stop_after_the_cap() {
+        let a = Buffer::new("A", DType::F32, vec![64], MemScope::Global);
+        let i = Var::new("i");
+        let j = Var::new("j");
+        // The `Eq` guard keeps the inner loop itself unsummarized, so every
+        // batch the tracer sees is one of the outer loop's pieces.
+        let body = Stmt::if_then(
+            Expr::var(&j).eq_expr(Expr::int(3)),
+            Stmt::store(&a, Expr::var(&j), Expr::float(1.0)),
+        );
+        let prog = Stmt::for_serial(i.clone(), 64i64, Stmt::for_serial(j, Expr::var(&i), body));
+        let stats = assert_optimized_equivalent(&prog, |s| s.alloc(&a, 0), &[&a]);
+        assert_eq!(stats.loops_summarized, 1, "{stats:?}");
+        assert_eq!(pieces(&prog, |s| s.alloc(&a, 0)), (MAX_PIECE_ATTEMPTS, 0));
+    }
+
+    /// Loops nested two levels deep keep invariant extents: a directly
+    /// nested loop may reach the probe as one bulk batch, which would hide
+    /// a varying grandchild extent.
+    #[test]
+    fn varying_extents_below_a_direct_child_are_not_marked() {
+        let a = Buffer::new("A", DType::F32, vec![64], MemScope::Global);
+        let (i, j, k) = (Var::new("i"), Var::new("j"), Var::new("k"));
+        let inner_extent = Expr::int(4).min(Expr::int(40).sub(Expr::var(&i)));
+        let prog = Stmt::for_serial(
+            i,
+            48i64,
+            Stmt::for_serial(
+                j,
+                16i64,
+                Stmt::for_serial(
+                    k.clone(),
+                    inner_extent,
+                    Stmt::store(&a, Expr::var(&k), Expr::float(1.0)),
+                ),
+            ),
+        );
+        let stats = assert_optimized_equivalent(&prog, |s| s.alloc(&a, 0), &[&a]);
+        // `k` and `j` (whose direct child varies with an outer, invariant
+        // `i`) are marked; `i` is not.
+        assert_eq!(stats.loops_summarized, 2, "{stats:?}");
+    }
+
+    /// Guards of the outer induction variable inside a nested loop that
+    /// reaches the outer probe as one bulk batch: the batch carries branch
+    /// counts only, and the head/tail pair below sees one store per inner
+    /// iteration at outer iterations 0, 1 and n-1 but none in between.  The
+    /// probes compare the guard directions of every nested piece.
+    #[test]
+    fn opposite_direction_guards_cannot_hide_in_nested_summaries() {
+        let a = Buffer::new("A", DType::F32, vec![64], MemScope::Global);
+        let i = Var::new("i");
+        let j = Var::new("j");
+        let head = Stmt::if_then(
+            Expr::var(&i).lt(Expr::int(16)),
+            Stmt::store(&a, Expr::var(&j), Expr::float(1.0)),
+        );
+        let tail = Stmt::if_then(
+            Expr::var(&i).ge(Expr::int(20)),
+            Stmt::store(&a, Expr::var(&j), Expr::float(2.0)),
+        );
+        let prog = Stmt::for_serial(
+            i,
+            32i64,
+            Stmt::for_serial(j, 16i64, Stmt::seq(vec![head, tail])),
+        );
+        let stats = assert_optimized_equivalent(&prog, |s| s.alloc(&a, 0), &[&a]);
+        assert_eq!(stats.loops_summarized, 2, "{stats:?}");
     }
 
     #[test]

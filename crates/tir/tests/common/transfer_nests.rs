@@ -19,7 +19,8 @@ const MAX_ELEMS: i64 = 2 * 32 + 8;
 
 /// A generated nest and what a functional run of it needs allocated.
 pub struct TransferNest {
-    /// `for v0 { for v1 { for v2 { [guards] transfers } } }`, 1–3 deep.
+    /// `for v0 { for v1 { for v2 { [guards] transfers } } }`, 1–3 deep;
+    /// inner extents may clamp an enclosing variable.
     pub stmt: Stmt,
     /// Host-side buffer (allocate on DPU context 0).
     pub global: Arc<Buffer>,
@@ -30,7 +31,8 @@ pub struct TransferNest {
     /// Nest depth.
     pub depth: usize,
     /// Distinct loop levels the static analysis must refuse to mark: those
-    /// an `Eq` guard or a `max(0, min(c, E - a·v))` size varies with.
+    /// an `Eq` guard or a `max(0, min(c, E - a·v))` size varies with, and
+    /// those a `min`/`max` extent two or more levels below varies with.
     pub unmarkable_levels: usize,
 }
 
@@ -142,6 +144,38 @@ impl Builder {
         };
         Stmt::if_then(cond, body)
     }
+
+    /// The extent of loop level `level`: its drawn constant, or (one time
+    /// in two below the outermost level) a concave or convex clamp of an
+    /// enclosing variable that never exceeds that constant — the tail
+    /// tile `min(c, E - a·v)`, a tent `min(c, a·v - s, E - a·v)` that can
+    /// be positive only between the probes, or `max(c - a·v, d)`.
+    fn extent(&mut self, level: usize) -> Expr {
+        let c = self.extents[level];
+        if level == 0 || self.rng.next() % 2 != 0 {
+            return Expr::int(c);
+        }
+        let outer = self.rng.range(0, level as i64 - 1) as usize;
+        // Only the direct parent's probes compare this extent.
+        if outer + 1 != level {
+            self.unmarkable[outer] = true;
+        }
+        let (v, last) = (Expr::var(&self.vars[outer]), self.extents[outer] - 1);
+        let a = self.rng.range(1, 3);
+        let av = v.mul(Expr::int(a));
+        let tail = Expr::int(self.rng.range(0, a * last + c)).sub(av.clone());
+        match self.rng.range(0, 2) {
+            0 => Expr::int(c).min(tail),
+            // Rising past 0 after iteration 1 and falling back below it
+            // before the last one.
+            1 => {
+                let s = self.rng.range(a, (a * last / 2).max(a));
+                let tail = Expr::int(self.rng.range(s, (a * last - a).max(s))).sub(av.clone());
+                Expr::int(c).min(av.sub(Expr::int(s)).min(tail))
+            }
+            _ => Expr::int(c).sub(av).max(Expr::int(self.rng.range(-3, c))),
+        }
+    }
 }
 
 /// Builds the nest for `seed`.
@@ -186,11 +220,8 @@ pub fn transfer_nest(seed: u64) -> TransferNest {
         if b.rng.next() % 3 == 0 {
             body = b.guard(scope, body);
         }
-        inner = Some(Stmt::for_serial(
-            b.vars[scope - 1].clone(),
-            b.extents[scope - 1],
-            body,
-        ));
+        let extent = b.extent(scope - 1);
+        inner = Some(Stmt::for_serial(b.vars[scope - 1].clone(), extent, body));
     }
     TransferNest {
         stmt: inner.expect("depth >= 1"),

@@ -17,13 +17,15 @@
 //! * compiled with the default PIM-aware passes and with none
 //!   (`OptLevel::NoOpt` leaves every boundary guard in the kernel),
 //! * the whole `ExecutionReport` in `TimingOnly`, report + output tensor in
-//!   `Full`.
+//!   `Full`,
+//! * long, tail-clamped RED and VA kernels whose chunk loops summarize in
+//!   several pieces (with a check that some piece really ended early).
 
 use atim_autotune::verify_trace;
 use atim_core::prelude::*;
 use atim_core::{compile_config, compile_trace};
 use atim_sim::UpmemMachine;
-use atim_tir::eval::CompiledProgram;
+use atim_tir::eval::{CompiledProgram, CompiledRunner, ExecMode, MemoryStore, NoTrace};
 use atim_workloads::data::generate_inputs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -167,4 +169,67 @@ fn optimized_bytecode_matches_the_reference_on_the_snapshot_batches() {
             }
         }
     }
+}
+
+/// RED and VA just past 2^16 elements on at most four DPUs, with tasklet
+/// splits that leave the last tasklet a short tail: the PIM-aware passes
+/// tighten the cache loop to `min(cache, E − origin)`, so each tasklet's
+/// chunk loop summarizes as a full-tile piece and ends with its tail.
+#[test]
+fn tail_clamped_kernels_match_the_reference_in_pieces() {
+    let hw = UpmemConfig {
+        ranks: 1,
+        dpus_per_rank: 4,
+        ..UpmemConfig::default()
+    };
+    let machine = UpmemMachine::new(hw.clone());
+    let mut split_pieces = 0;
+    for (kind, elems) in [
+        (WorkloadKind::Red, (1 << 16) + 37),
+        (WorkloadKind::Va, (1 << 16) + 11),
+    ] {
+        let def = Workload::new(kind, vec![elems]).compute_def();
+        let base = ScheduleConfig::default_for(&def, &hw);
+        for (dpus, tasklets, cache_elems) in [(4, 20, 2), (2, 12, 16), (3, 20, 8), (1, 12, 4)] {
+            let config = match kind {
+                WorkloadKind::Red => ScheduleConfig {
+                    reduce_dpus: dpus,
+                    ..base.clone()
+                },
+                _ => ScheduleConfig {
+                    spatial_dpus: vec![dpus],
+                    ..base.clone()
+                },
+            };
+            let config = ScheduleConfig {
+                tasklets,
+                cache_elems,
+                use_cache: true,
+                ..config
+            };
+            for options in pipelines() {
+                let module = compile_config(&config, &def, options, &hw).unwrap();
+                let what = format!("{}/{config:?}/{:?}", def.name, options.opt_level);
+                assert_engines_agree(&machine, &module, &what);
+
+                let lowered = &module.lowered;
+                let kernel = CompiledProgram::compile(&lowered.kernel.body).optimize();
+                for (linear, coords) in lowered.grid.enumerate() {
+                    let mut runner = CompiledRunner::new(&kernel);
+                    runner.set_dpu(linear);
+                    for (dim, coord) in lowered.grid.dims.iter().zip(&coords) {
+                        runner.bind(&dim.var, *coord);
+                    }
+                    runner
+                        .run(&mut MemoryStore::new(), &mut NoTrace, ExecMode::TimingOnly)
+                        .unwrap();
+                    split_pieces += runner.split_pieces();
+                }
+            }
+        }
+    }
+    assert!(
+        split_pieces >= 1,
+        "no summarized piece ended before its loop did"
+    );
 }
